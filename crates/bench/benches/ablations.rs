@@ -57,7 +57,7 @@ fn run_bottom_up() -> Option<f64> {
     let s = scenario();
     let cfg = machine(MonitorConfig::paper_64gb());
     let machine = m3_workloads::machine::Machine::new(cfg);
-    let schedule = s
+    let schedule: Vec<_> = s
         .apps
         .iter()
         .enumerate()
@@ -76,13 +76,7 @@ fn run_bottom_up() -> Option<f64> {
     let rts: Vec<Option<f64>> = res
         .apps
         .iter()
-        .map(|a| {
-            if a.failed || a.killed {
-                None
-            } else {
-                a.runtime().map(|d| d.as_secs_f64())
-            }
-        })
+        .map(|a| a.completed_runtime().map(|d| d.as_secs_f64()))
         .collect();
     if rts.iter().any(Option::is_none) {
         None
@@ -159,7 +153,7 @@ fn main() {
         let s = scenario();
         let cfg = machine(MonitorConfig::paper_64gb());
         let machine = m3_workloads::machine::Machine::new(cfg);
-        let schedule = s
+        let schedule: Vec<_> = s
             .apps
             .iter()
             .enumerate()
@@ -175,13 +169,7 @@ fn main() {
         let rts: Vec<Option<f64>> = res
             .apps
             .iter()
-            .map(|a| {
-                if a.failed || a.killed {
-                    None
-                } else {
-                    a.runtime().map(|d| d.as_secs_f64())
-                }
-            })
+            .map(|a| a.completed_runtime().map(|d| d.as_secs_f64()))
             .collect();
         let mean = if rts.iter().any(Option::is_none) {
             None

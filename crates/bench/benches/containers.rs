@@ -19,7 +19,7 @@
 use m3_bench::{render_table, BenchTimer};
 use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
-use m3_workloads::machine::{Machine, MachineConfig, RunResult};
+use m3_workloads::machine::{Machine, MachineConfig, RunResult, RunSpec};
 use m3_workloads::runner::run_scenario;
 use m3_workloads::scenario::Scenario;
 use m3_workloads::settings::{blueprint_for, AppConfig, Setting};
@@ -36,13 +36,7 @@ fn mean_runtime(res: &RunResult) -> (Option<f64>, Vec<Option<f64>>) {
     let rts: Vec<Option<f64>> = res
         .apps
         .iter()
-        .map(|a| {
-            if a.failed || a.killed {
-                None
-            } else {
-                a.runtime().map(|d| d.as_secs_f64())
-            }
-        })
+        .map(|a| a.completed_runtime().map(|d| d.as_secs_f64()))
         .collect();
     let mean = if rts.iter().any(Option::is_none) {
         None
@@ -67,7 +61,11 @@ fn run_containers(scenario: &Scenario, limits: Vec<u64>) -> (Option<f64>, Vec<Op
             (m3_workloads::app_name(kind.code(), i), start, bp)
         })
         .collect();
-    let res = Machine::new(cfg).run_with_containers(schedule, Some(limits));
+    let res = Machine::new(cfg).run(RunSpec {
+        schedule,
+        container_limits: Some(limits),
+        ..RunSpec::default()
+    });
     mean_runtime(&res)
 }
 

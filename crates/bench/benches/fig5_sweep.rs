@@ -8,7 +8,7 @@
 //!    behaviour and the correctness reference;
 //! 2. **parallel** — the same fresh runs fanned out over the worker pool
 //!    with [`m3_workloads::parallel_map`];
-//! 3. **memoized** — [`m3_workloads::run_scenarios_parallel_with`] twice:
+//! 3. **memoized** — [`m3_workloads::run_scenario_cached`] over the pool, twice:
 //!    the first pass fills the content-addressed run cache, the second
 //!    replays it without simulating anything.
 //!
@@ -26,7 +26,7 @@ use m3_workloads::machine::MachineConfig;
 use m3_workloads::runner::{run_scenario, ScenarioOutcome};
 use m3_workloads::scenario::{figure5_scenarios, Scenario};
 use m3_workloads::settings::Setting;
-use m3_workloads::{cache_stats, parallel_map, run_scenarios_parallel_with, worker_threads};
+use m3_workloads::{cache_stats, parallel_map, run_scenario_cached, worker_threads};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -102,10 +102,15 @@ fn main() {
     //    replay pass answers everything from it.
     let cache_before = cache_stats();
     let t = Instant::now();
-    let warm = run_scenarios_parallel_with(jobs.clone(), workers);
+    let memoized = || {
+        parallel_map(jobs.clone(), workers, |(s, set, cfg)| {
+            run_scenario_cached(&s, &set, cfg)
+        })
+    };
+    let warm = memoized();
     let memo_first_pass_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let replay = run_scenarios_parallel_with(jobs.clone(), workers);
+    let replay = memoized();
     let memo_replay_secs = t.elapsed().as_secs_f64();
     let cache_delta = cache_stats().since(&cache_before);
 

@@ -29,11 +29,7 @@ struct Fig9Row {
 }
 
 fn runtime_s(a: &AppResult) -> Option<f64> {
-    if a.failed || a.killed {
-        None
-    } else {
-        a.runtime().map(|d| d.as_secs_f64())
-    }
+    a.completed_runtime().map(|d| d.as_secs_f64())
 }
 
 fn run(m3: bool) -> Vec<AppResult> {

@@ -20,7 +20,7 @@ use m3_sim::units::GIB;
 use m3_sim::SimRng;
 use m3_workloads::cluster::ClusterMean;
 use m3_workloads::faults::FleetFaultPlan;
-use m3_workloads::fleet::{run_fleet_with_faults, FleetConfig, NodeSpec};
+use m3_workloads::fleet::{run_fleet_faulted_with_workers, FleetConfig, NodeSpec};
 use m3_workloads::machine::MachineConfig;
 use m3_workloads::scenario::fleet_scale_scenario;
 use m3_workloads::settings::Setting;
@@ -127,7 +127,9 @@ fn main() {
     for mtbf_s in [0u64, 172_800, 43_200, 14_400] {
         let plan = crash_plan(nodes, mtbf_s);
         let started = std::time::Instant::now();
-        let res = run_fleet_with_faults(&scenario, &setting, machine(), &fleet, &plan);
+        let workers = m3_workloads::worker_threads();
+        let res =
+            run_fleet_faulted_with_workers(&scenario, &setting, machine(), &fleet, &plan, workers);
         let wall_clock_s = started.elapsed().as_secs_f64();
         let ClusterMean {
             mean_secs,

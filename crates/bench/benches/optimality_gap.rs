@@ -18,7 +18,7 @@ use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
 use m3_workloads::machine::MachineConfig;
 use m3_workloads::runner::run_scenario;
-use m3_workloads::scenario::{AppKind, Scenario};
+use m3_workloads::scenario::Scenario;
 use m3_workloads::settings::{AppConfig, Setting, SettingKind};
 use serde::Serialize;
 
@@ -30,14 +30,7 @@ struct GapPoint {
 }
 
 fn scenario() -> Scenario {
-    Scenario {
-        name: "CM 120".into(),
-        apps: vec![
-            (AppKind::GoCache, SimDuration::ZERO),
-            (AppKind::KMeans, SimDuration::from_secs(120)),
-        ],
-        classes: Vec::new(),
-    }
+    Scenario::uniform("CM", 120)
 }
 
 fn main() {

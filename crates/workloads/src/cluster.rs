@@ -10,28 +10,14 @@ use m3_sim::trace::Criticality;
 use serde::{Deserialize, Serialize};
 
 use crate::fleet::JobOutcome;
-use crate::machine::{Machine, MachineConfig, RunResult};
+pub use crate::machine::JobFailure;
+use crate::machine::MachineConfig;
 use crate::parallel::{run_scenario_cached, worker_threads};
 use crate::scenario::Scenario;
 use crate::settings::Setting;
 
 /// The paper's worker count.
 pub const PAPER_NODES: usize = 8;
-
-/// Why a job produced no runtime. A typed reason instead of killed/failed
-/// booleans: fleet-level chaos adds ways to lose a job (node death, retry
-/// budget exhaustion) that are not monitor kills or crashes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum JobFailure {
-    /// The M3 monitor killed the job to relieve memory pressure.
-    Killed,
-    /// The job itself failed (allocation failure, kernel OOM).
-    Crashed,
-    /// The job's node died mid-run and its retry budget ran out.
-    NodeLost,
-    /// The scheduler gave up placing the job after exhausting deferrals.
-    GaveUp,
-}
 
 /// Aggregated outcome of a cluster run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -165,19 +151,6 @@ impl ClusterResult {
     }
 }
 
-fn runtimes(res: &RunResult) -> Vec<Option<f64>> {
-    res.apps
-        .iter()
-        .map(|a| {
-            if a.failed || a.killed {
-                None
-            } else {
-                a.runtime().map(|d| d.as_secs_f64())
-            }
-        })
-        .collect()
-}
-
 /// Runs `scenario` under `setting` on `nodes` independent workers and
 /// aggregates per-application completion as the slowest node.
 pub fn run_cluster(
@@ -201,7 +174,7 @@ pub fn run_cluster(
 /// [`run_cluster`] over an explicit per-node configuration list (the fleet
 /// layer's passthrough path: heterogeneous node sizes, pre-salted configs).
 /// Aggregation is identical — per-app slowest node wins.
-pub fn run_cluster_nodes(
+pub(crate) fn run_cluster_nodes(
     scenario: &Scenario,
     setting: &Setting,
     node_cfgs: Vec<MachineConfig>,
@@ -215,16 +188,16 @@ pub fn run_cluster_nodes(
     let mut per_node: Vec<Vec<Option<f64>>> = vec![Vec::with_capacity(nodes); napps];
     let mut failures: Vec<Option<JobFailure>> = vec![None; napps];
     for out in &outs {
-        for (i, rt) in runtimes(&out.run).into_iter().enumerate() {
+        for (i, rt) in out.runtimes_secs().into_iter().enumerate() {
             per_node[i].push(rt);
         }
-        // A kill on any node trumps a crash: the monitor's decision is the
-        // reason the cluster-level job has no runtime.
+        // A kill on any node trumps a crash: the kill is the reason the
+        // cluster-level job has no runtime.
         for (i, a) in out.run.apps.iter().enumerate() {
-            if a.killed {
-                failures[i] = Some(JobFailure::Killed);
-            } else if a.failed && failures[i].is_none() {
-                failures[i] = Some(JobFailure::Crashed);
+            match a.failure {
+                Some(JobFailure::Killed) => failures[i] = Some(JobFailure::Killed),
+                Some(f) if failures[i].is_none() => failures[i] = Some(f),
+                _ => {}
             }
         }
     }
@@ -263,12 +236,6 @@ pub fn run_cluster_nodes(
         spread_s,
         failures,
     }
-}
-
-/// Convenience: the `Machine` type for a node of this cluster (salted).
-pub fn node_machine(mut cfg: MachineConfig, node: usize) -> Machine {
-    cfg.node_salt = node as u64 + 1;
-    Machine::new(cfg)
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! Fault injection for world-loop experiments.
 //!
 //! A [`FaultPlan`] is a serializable description of everything that goes
-//! wrong during a run: scheduled crash-kills (the old
-//! `Machine::run_with_chaos` behaviour), seeded signal loss/delay on the
-//! bus, participants that handle signals but never return pages,
+//! wrong during a run: scheduled crash-kills, seeded signal loss/delay on
+//! the bus, participants that handle signals but never return pages,
 //! `/proc/meminfo` outages, per-app leaks, and stale-registration churn
-//! with pid reuse. Being serializable, the plan participates in the
-//! content-addressed memoization key (see [`crate::parallel`]), so a cached
-//! result can never be returned for a different fault schedule.
+//! with pid reuse. A run takes it as [`crate::machine::RunSpec::faults`],
+//! or as [`crate::scenario::Scenario::faults`] one layer up. Being
+//! serializable, the plan participates in the content-addressed
+//! memoization key (see [`crate::parallel`]), so a cached result can never
+//! be returned for a different fault schedule.
 //!
 //! What the run *did* about the plan comes back in a
 //! [`DegradationReport`] inside [`crate::machine::RunResult`]: which events
@@ -131,8 +132,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: nothing goes wrong. This is what every plain
-    /// [`crate::machine::Machine::run`] uses.
+    /// The empty plan: nothing goes wrong. This is what a run gets unless
+    /// its spec or scenario says otherwise.
     pub fn none() -> Self {
         FaultPlan::default()
     }
@@ -208,13 +209,6 @@ impl FaultPlan {
         self
     }
 
-    /// Converts the legacy `(t, idx)` crash-kill list.
-    pub fn from_kills(kills: Vec<(SimDuration, usize)>) -> Self {
-        kills
-            .into_iter()
-            .fold(FaultPlan::none(), |plan, (t, idx)| plan.with_crash(t, idx))
-    }
-
     /// Number of injectable items in the plan (app events + churn).
     pub fn injected_count(&self) -> u64 {
         (self.events.len() + self.churn.len()) as u64
@@ -234,8 +228,8 @@ pub enum UnappliedReason {
     RunEnded,
 }
 
-/// An app-targeted fault that could not be applied, and why. The old
-/// `run_with_chaos` silently dropped these; now they are accounted.
+/// An app-targeted fault that could not be applied, and why: never silently
+/// dropped, always accounted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UnappliedFault {
     /// The event that could not be applied.
@@ -331,9 +325,9 @@ pub struct PlacementDelay {
 /// fleet scheduler: whole-node crashes, flapping probe endpoints, delayed
 /// placement decisions, and mid-horizon scheduler restarts that wipe the
 /// advisory candidate index. The cluster-level analogue of [`FaultPlan`],
-/// and like it part of the fleet memoization key (see
-/// [`crate::fleet::run_fleet_cached_faulted`]) so chaos runs never collide
-/// with clean cached results.
+/// executed by [`crate::fleet::run_fleet_faulted_with_workers`]; chaos
+/// fleet runs are never memoized, so they cannot collide with clean cached
+/// results.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FleetFaultPlan {
     /// Whole-node crashes.
@@ -458,19 +452,6 @@ mod tests {
         assert!(FaultPlan::none().is_empty());
         assert_eq!(FaultPlan::none().injected_count(), 0);
         assert_eq!(FaultPlan::none(), FaultPlan::default());
-    }
-
-    #[test]
-    fn from_kills_matches_legacy_semantics() {
-        let plan = FaultPlan::from_kills(vec![
-            (SimDuration::from_secs(1), 0),
-            (SimDuration::from_secs(2), 1),
-        ]);
-        assert_eq!(plan.events.len(), 2);
-        assert!(plan
-            .events
-            .iter()
-            .all(|e| matches!(e.kind, FaultKind::Crash)));
     }
 
     #[test]

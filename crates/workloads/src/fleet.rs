@@ -83,7 +83,7 @@ use crate::cluster::{run_cluster_nodes, ClusterResult, JobFailure};
 use crate::faults::{FaultPlan, FleetDegradationReport, FleetFaultPlan, ProbeFlap};
 use crate::hibench;
 use crate::machine::MachineConfig;
-use crate::parallel::{run_scenario_cached_faulted, CacheStats, MemoCache};
+use crate::parallel::{run_scenario_cached, CacheStats, MemoCache};
 use crate::runner::ScenarioOutcome;
 use crate::scenario::{AppKind, Scenario};
 use crate::settings::Setting;
@@ -127,9 +127,9 @@ pub enum PlacementPolicy {
 pub struct FleetConfig {
     /// The worker nodes (heterogeneous sizes allowed).
     pub nodes: Vec<NodeSpec>,
-    /// `false` runs every node through the legacy [`run_cluster_nodes`]
-    /// path (each node runs the whole schedule; no placement decisions) —
-    /// the backward-compat mode the figure benches rely on.
+    /// `false` runs every node through the [`crate::cluster::run_cluster`]
+    /// aggregation (each node runs the whole schedule; no placement
+    /// decisions) — the passthrough mode the figure benches rely on.
     pub scheduler: bool,
     /// How long a node must stay red before the rebalancer may migrate a
     /// job off it.
@@ -551,9 +551,10 @@ impl<'a> Fleet<'a> {
         self.nodes[node].dead.is_none() && !self.nodes[node].quarantined
     }
 
-    /// The sub-scenario a node's assigned jobs form. Deliberately *not*
-    /// salted with the node index: the name is part of the run-cache key,
-    /// and nodes with identical schedules must share one entry.
+    /// The sub-scenario a node's assigned jobs form, carrying the node's
+    /// accumulated crash faults. Deliberately *not* salted with the node
+    /// index: the name is part of the run-cache key, and nodes with
+    /// identical schedules and faults must share one entry.
     fn node_scenario(&self, node: usize) -> Scenario {
         let st = &self.nodes[node];
         let classes = st
@@ -569,6 +570,7 @@ impl<'a> Fleet<'a> {
                 .map(|&(_, kind, start)| (kind, start))
                 .collect(),
             classes: Vec::new(),
+            faults: st.faults.clone(),
         }
         .with_classes(classes)
     }
@@ -591,7 +593,7 @@ impl<'a> Fleet<'a> {
             cfg.capture_trace = false;
             cfg.pressure_timeline_polls = Some(1);
         }
-        run_scenario_cached_faulted(&scenario, &setting, cfg, &self.nodes[node].faults)
+        run_scenario_cached(&scenario, &setting, cfg)
     }
 
     /// The node's probe simulation, computed only if the node is dirty.
@@ -1559,74 +1561,46 @@ impl<'a> Fleet<'a> {
 
 type EventQueue = BTreeMap<(u64, u8, u64), Event>;
 
-/// Runs `scenario` on the fleet described by `fleet`.
-///
-/// With `fleet.scheduler == false` this is exactly
-/// [`crate::cluster::run_cluster`] over the fleet's node sizes: every node
-/// runs the full schedule and per-app completion is the slowest node.
-///
-/// With the scheduler on (requires an M3 `setting` — placement reacts to
-/// monitor pressure), each job is admitted onto one node, and the returned
-/// [`ClusterResult`] holds final-node runtimes measured from each job's
-/// *arrival*.
+/// Runs `scenario` on the fleet described by `fleet`, fault-free, on
+/// [`crate::parallel::worker_threads`] workers: the defaulting form of
+/// [`run_fleet_faulted_with_workers`].
 pub fn run_fleet(
     scenario: &Scenario,
     setting: &Setting,
     machine_cfg: MachineConfig,
     fleet: &FleetConfig,
 ) -> FleetResult {
-    run_fleet_with_faults(
-        scenario,
-        setting,
-        machine_cfg,
-        fleet,
-        &FleetFaultPlan::none(),
-    )
-}
-
-/// [`run_fleet`] under an injected [`FleetFaultPlan`]: node crashes,
-/// flapping probe endpoints, delayed placements and scheduler restarts.
-/// The returned [`FleetResult::degradation`] accounts what the faults
-/// cost; [`FleetOracle`]'s recovery invariants run on every trace.
-pub fn run_fleet_with_faults(
-    scenario: &Scenario,
-    setting: &Setting,
-    machine_cfg: MachineConfig,
-    fleet: &FleetConfig,
-    plan: &FleetFaultPlan,
-) -> FleetResult {
     run_fleet_faulted_with_workers(
         scenario,
         setting,
         machine_cfg,
         fleet,
-        plan,
+        &FleetFaultPlan::none(),
         crate::parallel::worker_threads(),
     )
 }
 
-/// [`run_fleet`] with an explicit worker count. The result is bit-identical
-/// for every `workers` value (the worker-count proptest pins this down);
-/// the count only decides how many threads pre-warm node simulations and
-/// run the final full-length node runs.
-pub fn run_fleet_with_workers(
-    scenario: &Scenario,
-    setting: &Setting,
-    machine_cfg: MachineConfig,
-    fleet: &FleetConfig,
-    workers: usize,
-) -> FleetResult {
-    run_fleet_faulted_with_workers(
-        scenario,
-        setting,
-        machine_cfg,
-        fleet,
-        &FleetFaultPlan::none(),
-        workers,
-    )
-}
-
-/// [`run_fleet_with_faults`] with an explicit worker count.
+/// Runs `scenario` on the fleet described by `fleet` under an injected
+/// [`FleetFaultPlan`] (node crashes, flapping probe endpoints, delayed
+/// placements, scheduler restarts) — the one fleet executor.
+///
+/// With `fleet.scheduler == false` this is exactly
+/// [`crate::cluster::run_cluster`] over the fleet's node sizes: every node
+/// runs the full schedule (with the scenario's own fault plan) and per-app
+/// completion is the slowest node. That path has no placement decisions to
+/// disrupt, so `plan` must be empty.
+///
+/// With the scheduler on (requires an M3 `setting` — placement reacts to
+/// monitor pressure), each job is admitted onto one node, and the returned
+/// [`ClusterResult`] holds final-node runtimes measured from each job's
+/// *arrival*. Node faults are the scheduler's own (migration and node-loss
+/// crashes), so the scenario must carry none. The returned
+/// [`FleetResult::degradation`] accounts what the fleet faults cost;
+/// [`FleetOracle`]'s recovery invariants run on every trace.
+///
+/// The result is bit-identical for every `workers` value (the worker-count
+/// proptest pins this down); the count only decides how many threads
+/// pre-warm node simulations and run the final full-length node runs.
 pub fn run_fleet_faulted_with_workers(
     scenario: &Scenario,
     setting: &Setting,
@@ -1662,6 +1636,11 @@ pub fn run_fleet_faulted_with_workers(
         "the fleet scheduler places by monitor pressure; run static \
          baselines with `scheduler: false`"
     );
+    assert!(
+        scenario.faults.is_empty(),
+        "the fleet scheduler owns its nodes' fault plans; inject fleet \
+         faults through the FleetFaultPlan instead"
+    );
     let njobs = scenario.len();
     let mut state = Fleet::new(scenario, machine_cfg, fleet, plan, workers);
     state.run_events();
@@ -1682,18 +1661,10 @@ pub fn run_fleet_faulted_with_workers(
         let (node, runtime_ms, stall_ms, failure) = match state.assignment[job] {
             Some((node, slot)) => {
                 let app = &finals[node].as_ref().expect("assigned node ran").run.apps[slot];
-                let rt = (!app.killed && !app.failed)
-                    .then_some(app.finished)
-                    .flatten()
+                let rt = app
+                    .completed()
                     .map(|f| f.saturating_since(arrival).as_millis());
-                let failure = if app.killed {
-                    Some(JobFailure::Killed)
-                } else if app.failed {
-                    Some(JobFailure::Crashed)
-                } else {
-                    None
-                };
-                (Some(node), rt, app.stall.as_millis(), failure)
+                (Some(node), rt, app.stall.as_millis(), app.failure)
             }
             None if state.orphaned[job] => (None, None, 0, Some(JobFailure::NodeLost)),
             None => {
@@ -1771,38 +1742,21 @@ pub fn fleet_cache_stats() -> CacheStats {
 }
 
 /// Content-addressed [`run_fleet`]: the serialized `(scenario, setting,
-/// machine_cfg, fleet_cfg, fault_plan)` quintuple keys a process-wide
-/// cache, and an identical earlier fleet run is returned as a shared
-/// [`Arc`] without re-running the scheduler. The machine config is
-/// normalized through [`MachineConfig::with_setting`] before keying, like
-/// the node cache. The fault plan is part of the key so chaos runs never
-/// collide with clean cached results.
+/// machine_cfg, fleet_cfg)` quadruple keys a process-wide cache, and an
+/// identical earlier fleet run is returned as a shared [`Arc`] without
+/// re-running the scheduler. The machine config is normalized through
+/// [`MachineConfig::with_setting`] before keying, like the node cache.
+/// Fault-free only: chaos runs go through the uncached
+/// [`run_fleet_faulted_with_workers`].
 pub fn run_fleet_cached(
     scenario: &Scenario,
     setting: &Setting,
     machine_cfg: MachineConfig,
     fleet: &FleetConfig,
 ) -> Arc<FleetResult> {
-    run_fleet_cached_faulted(
-        scenario,
-        setting,
-        machine_cfg,
-        fleet,
-        &FleetFaultPlan::none(),
-    )
-}
-
-/// [`run_fleet_cached`] under an injected [`FleetFaultPlan`].
-pub fn run_fleet_cached_faulted(
-    scenario: &Scenario,
-    setting: &Setting,
-    machine_cfg: MachineConfig,
-    fleet: &FleetConfig,
-    plan: &FleetFaultPlan,
-) -> Arc<FleetResult> {
     let cfg = machine_cfg.with_setting(setting);
-    FLEET_CACHE.get_or_compute(&(scenario, setting, &cfg, fleet, plan), || {
-        run_fleet_with_faults(scenario, setting, machine_cfg, fleet, plan)
+    FLEET_CACHE.get_or_compute(&(scenario, setting, &cfg, fleet), || {
+        run_fleet(scenario, setting, machine_cfg, fleet)
     })
 }
 
@@ -1822,6 +1776,16 @@ mod tests {
         let mut f = FleetConfig::homogeneous(3, 64 * GIB);
         f.rebalance_checks = 10;
         f
+    }
+
+    fn run_faulted(
+        scenario: &Scenario,
+        setting: &Setting,
+        fleet: &FleetConfig,
+        plan: &FleetFaultPlan,
+    ) -> FleetResult {
+        let workers = crate::parallel::worker_threads();
+        run_fleet_faulted_with_workers(scenario, setting, quick_cfg(), fleet, plan, workers)
     }
 
     #[test]
@@ -2073,8 +2037,9 @@ mod tests {
         let fleet = small_fleet();
         let cfg = quick_cfg();
         let setting = Setting::m3(scenario.len());
-        let a = run_fleet_with_workers(&scenario, &setting, cfg, &fleet, 1);
-        let b = run_fleet_with_workers(&scenario, &setting, cfg, &fleet, 4);
+        let clean = FleetFaultPlan::none();
+        let a = run_fleet_faulted_with_workers(&scenario, &setting, cfg, &fleet, &clean, 1);
+        let b = run_fleet_faulted_with_workers(&scenario, &setting, cfg, &fleet, &clean, 4);
         assert_eq!(
             serde_json::to_string(&a).expect("serialize"),
             serde_json::to_string(&b).expect("serialize"),
@@ -2233,7 +2198,7 @@ mod tests {
         let scenario = Scenario::uniform("M", 0);
         let fleet = small_fleet();
         let plan = FleetFaultPlan::none().with_node_crash(SimDuration::from_secs(60), 0);
-        let res = run_fleet_with_faults(&scenario, &Setting::m3(1), quick_cfg(), &fleet, &plan);
+        let res = run_faulted(&scenario, &Setting::m3(1), &fleet, &plan);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.degradation.nodes_lost, 1);
         assert_eq!(res.degradation.jobs_lost, 1);
@@ -2267,7 +2232,7 @@ mod tests {
         let mut fleet = small_fleet();
         fleet.retry_budget = 0;
         let plan = FleetFaultPlan::none().with_node_crash(SimDuration::from_secs(60), 0);
-        let res = run_fleet_with_faults(&scenario, &Setting::m3(1), quick_cfg(), &fleet, &plan);
+        let res = run_faulted(&scenario, &Setting::m3(1), &fleet, &plan);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.degradation.jobs_orphaned, 1);
         assert_eq!(res.degradation.jobs_rescheduled, 0);
@@ -2308,7 +2273,7 @@ mod tests {
             SimDuration::from_secs(30),
             SimDuration::from_secs(1_000),
         );
-        let res = run_fleet_with_faults(&scenario, &Setting::m3(1), quick_cfg(), &fleet, &plan);
+        let res = run_faulted(&scenario, &Setting::m3(1), &fleet, &plan);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.degradation.quarantine_episodes, 1);
         assert!(res.degradation.probe_failures > 0);
@@ -2349,7 +2314,7 @@ mod tests {
         let plan = FleetFaultPlan::none()
             .with_flap(0, SimDuration::ZERO, SimDuration::from_secs(1_000))
             .with_flap(1, SimDuration::ZERO, SimDuration::from_secs(1_000));
-        let res = run_fleet_with_faults(&scenario, &Setting::m3(1), quick_cfg(), &fleet, &plan);
+        let res = run_faulted(&scenario, &Setting::m3(1), &fleet, &plan);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert!(res.degradation.stale_probe_decisions > 0);
         assert_eq!(res.degradation.probe_failures, 0);
@@ -2363,7 +2328,7 @@ mod tests {
         let fleet = small_fleet();
         let plan = FleetFaultPlan::none().with_scheduler_restart(SimDuration::from_secs(300));
         let setting = Setting::m3(scenario.len());
-        let res = run_fleet_with_faults(&scenario, &setting, quick_cfg(), &fleet, &plan);
+        let res = run_faulted(&scenario, &setting, &fleet, &plan);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.degradation.scheduler_restarts, 1);
         assert_eq!(
@@ -2380,7 +2345,7 @@ mod tests {
         let setting = Setting::m3(1);
         let clean = run_fleet(&scenario, &setting, quick_cfg(), &fleet);
         let plan = FleetFaultPlan::none().with_placement_delay(0, SimDuration::from_secs(60));
-        let res = run_fleet_with_faults(&scenario, &setting, quick_cfg(), &fleet, &plan);
+        let res = run_faulted(&scenario, &setting, &fleet, &plan);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.degradation.placements_delayed, 1);
         assert_eq!(res.degradation.placement_delay_ms, 60_000);
@@ -2395,25 +2360,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_is_part_of_the_fleet_cache_key() {
-        let scenario = Scenario::uniform("M", 0);
-        let cfg = quick_cfg();
-        let setting = Setting::m3(1);
-        let fleet = small_fleet();
-        let clean = run_fleet_cached(&scenario, &setting, cfg, &fleet);
-        let plan = FleetFaultPlan::none().with_node_crash(SimDuration::from_secs(60), 0);
-        let chaotic = run_fleet_cached_faulted(&scenario, &setting, cfg, &fleet, &plan);
-        assert!(
-            !Arc::ptr_eq(&clean, &chaotic),
-            "a chaos run must never collide with a clean cached result"
-        );
-        assert_eq!(clean.degradation.nodes_lost, 0);
-        assert_eq!(chaotic.degradation.nodes_lost, 1);
-        let again = run_fleet_cached_faulted(&scenario, &setting, cfg, &fleet, &plan);
-        assert!(
-            Arc::ptr_eq(&chaotic, &again),
-            "the same fault plan must hit its own cache entry"
-        );
+    #[should_panic(expected = "owns its nodes' fault plans")]
+    fn scheduler_mode_rejects_node_faults_in_the_scenario() {
+        let scenario = Scenario {
+            faults: FaultPlan::none().with_crash(SimDuration::from_secs(60), 0),
+            ..Scenario::uniform("M", 0)
+        };
+        run_fleet(&scenario, &Setting::m3(1), quick_cfg(), &small_fleet());
     }
 
     #[test]
@@ -2426,7 +2379,7 @@ mod tests {
             .with_flap(99, SimDuration::ZERO, SimDuration::from_secs(60))
             .with_placement_delay(99, SimDuration::from_secs(60));
         let clean = run_fleet(&scenario, &setting, quick_cfg(), &fleet);
-        let res = run_fleet_with_faults(&scenario, &setting, quick_cfg(), &fleet, &plan);
+        let res = run_faulted(&scenario, &setting, &fleet, &plan);
         assert_eq!(res.degradation.faults_unapplied, 3);
         assert_eq!(
             serde_json::to_string(&res.jobs).expect("serialize"),

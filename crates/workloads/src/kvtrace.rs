@@ -28,7 +28,7 @@ use m3_sim::trace::{EvictReason, TraceData};
 use serde::{Deserialize, Serialize};
 
 use crate::apps::AppBlueprint;
-use crate::machine::{Machine, MachineConfig};
+use crate::machine::{JobFailure, Machine, MachineConfig};
 use crate::parallel::{CacheStats, MemoCache};
 
 /// Fraction of the chunked working set the node's physical memory covers:
@@ -224,7 +224,7 @@ pub fn run_cache_trace(twl: TraceWorkload, policy: CachePolicy) -> CacheTraceOut
         evict_slabs_admission: 0,
         class_evictions: 0,
         finished: res.apps[0].finished.is_some(),
-        killed: res.apps[0].killed,
+        killed: res.apps[0].failure == Some(JobFailure::Killed),
         peak_rss: res.apps[0].peak_rss,
         end_ms: res.end.as_millis(),
         violations: res.violations.len(),

@@ -59,11 +59,10 @@ pub use kvtrace::{
     kvtrace_cache_stats, node_phys_bytes, run_cache_trace, run_cache_trace_cached,
     working_set_bytes, CachePolicy, CacheTraceOutcome,
 };
-pub use machine::{AppResult, Machine, MachineConfig, RunResult, ScheduleEntry};
-pub use parallel::{
-    cache_stats, parallel_map, run_scenario_cached, run_scenario_cached_faulted,
-    run_scenarios_parallel, run_scenarios_parallel_with, worker_threads, CacheStats,
+pub use machine::{
+    AppResult, JobFailure, Machine, MachineConfig, RunResult, RunSpec, ScheduleEntry,
 };
-pub use runner::{app_name, run_scenario, run_scenario_with_faults, ScenarioOutcome};
+pub use parallel::{cache_stats, parallel_map, run_scenario_cached, worker_threads, CacheStats};
+pub use runner::{app_name, run_scenario, ScenarioOutcome};
 pub use scenario::{AppKind, Scenario};
 pub use settings::{AppConfig, Setting, SettingKind};

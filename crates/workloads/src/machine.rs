@@ -32,6 +32,40 @@ use crate::settings::Setting;
 /// many runs of a sweep instead of being reallocated per run.
 pub type ScheduleEntry = (Arc<str>, SimDuration, AppBlueprint);
 
+/// Everything one [`Machine::run`] executes. Classes, faults and container
+/// limits are annotations indexed by schedule position; each defaults to
+/// "none" (see the `From<Vec<ScheduleEntry>>` conversion).
+#[derive(Debug, Clone, Default)]
+pub struct RunSpec {
+    /// `(name, start, blueprint)` per application, in schedule order.
+    pub schedule: Vec<ScheduleEntry>,
+    /// Criticality class per schedule entry; missing entries default to
+    /// `Standard`. Classes change how a job answers pressure: batch jobs
+    /// treat the advisory low signal as a high one (earlier, larger
+    /// reclamation), latency-critical jobs ignore the low signal and only
+    /// reclaim on high, and the class is written into the job's PID file so
+    /// the monitor's kill ordering sees it.
+    pub classes: Vec<JobClass>,
+    /// What goes wrong during the run — crashes, non-cooperation, leaks,
+    /// signal loss/delay, meminfo outages, registration churn. The returned
+    /// [`RunResult::degradation`] accounts for every injected item.
+    pub faults: FaultPlan,
+    /// One static container limit per schedule entry (`memory.high`
+    /// semantics: members of an over-limit container receive reclaim
+    /// pressure once per second) — the per-container static baseline for
+    /// the paper's §9 container question. `None` runs without containers.
+    pub container_limits: Option<Vec<u64>>,
+}
+
+impl From<Vec<ScheduleEntry>> for RunSpec {
+    fn from(schedule: Vec<ScheduleEntry>) -> Self {
+        RunSpec {
+            schedule,
+            ..RunSpec::default()
+        }
+    }
+}
+
 /// World parameters.
 ///
 /// Serializable so a `(scenario, setting, machine_cfg)` triple can be
@@ -137,6 +171,24 @@ impl MachineConfig {
     }
 }
 
+/// Why an application produced no runtime. One vocabulary for every layer:
+/// a node run reports the first two, and the fleet scheduler adds the ways
+/// it can lose a job that are neither kills nor crashes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum JobFailure {
+    /// The job's process was SIGKILLed while it ran: by the M3 monitor's
+    /// escalation, by the kernel OOM killer on swap exhaustion, or by an
+    /// injected [`FaultKind::Crash`].
+    Killed,
+    /// The job failed on its own without being killed (a Spark executor
+    /// whose static heap is below the job's floor).
+    Crashed,
+    /// The job's node died mid-run and its retry budget ran out.
+    NodeLost,
+    /// The scheduler gave up placing the job after exhausting deferrals.
+    GaveUp,
+}
+
 /// Outcome for one scheduled application.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AppResult {
@@ -148,13 +200,12 @@ pub struct AppResult {
     pub finished: Option<SimTime>,
     /// When the app stopped occupying memory, whatever the reason: equals
     /// `finished` for completed apps, the kill instant for killed apps, the
-    /// spawn instant for failed ones. `None` only if the run's time cap hit
-    /// while the app was still live.
+    /// spawn instant for apps that crashed at start. `None` only if the
+    /// run's time cap hit while the app was still live.
     pub ended: Option<SimTime>,
-    /// True if the app was killed (OOM or M3 escalation).
-    pub killed: bool,
-    /// True if the app failed to run (static heap below the job's floor).
-    pub failed: bool,
+    /// Why the app did not complete: [`JobFailure::Killed`] or
+    /// [`JobFailure::Crashed`]; `None` if it did not fail.
+    pub failure: Option<JobFailure>,
     /// Total GC pause in the app's runtime layer.
     pub gc_pause: SimDuration,
     /// Framework memory-management time (Spark capacity misses).
@@ -167,9 +218,21 @@ pub struct AppResult {
 }
 
 impl AppResult {
-    /// The app's runtime, if it completed.
+    /// The app's runtime, if it finished (also when it crashed on
+    /// completion; see [`AppResult::completed`]).
     pub fn runtime(&self) -> Option<SimDuration> {
         self.finished.map(|f| f.saturating_since(self.started))
+    }
+
+    /// When the app completed: its `finished` time, unless it failed. This
+    /// is the one definition of "completed" every layer counts runtimes by.
+    pub fn completed(&self) -> Option<SimTime> {
+        self.finished.filter(|_| self.failure.is_none())
+    }
+
+    /// The app's runtime, if it completed.
+    pub fn completed_runtime(&self) -> Option<SimDuration> {
+        self.completed().map(|f| f.saturating_since(self.started))
     }
 }
 
@@ -212,9 +275,7 @@ pub struct RunResult {
 impl RunResult {
     /// True if every application finished (none failed, none killed).
     pub fn all_finished(&self) -> bool {
-        self.apps
-            .iter()
-            .all(|a| a.finished.is_some() && !a.killed && !a.failed)
+        self.apps.iter().all(|a| a.completed().is_some())
     }
 }
 
@@ -263,72 +324,22 @@ impl Machine {
         &self.cfg
     }
 
-    /// Runs a schedule of `(name, start, blueprint)` to completion (or the
-    /// time cap) and returns per-app results plus the memory profile.
-    pub fn run(&self, schedule: Vec<ScheduleEntry>) -> RunResult {
-        self.run_full(schedule, None, &FaultPlan::none(), &[])
+    /// Runs one experiment to completion (or the time cap) and returns
+    /// per-app results plus the memory profile. A bare schedule converts
+    /// into a [`RunSpec`] with no classes, faults or containers, so the
+    /// common case reads `machine.run(schedule)`.
+    pub fn run(&self, spec: impl Into<RunSpec>) -> RunResult {
+        self.run_spec(spec.into())
     }
 
-    /// Like [`Machine::run`], with a criticality class per schedule entry
-    /// (missing entries default to `Standard`). Classes change how a job
-    /// answers pressure: batch jobs treat the advisory low signal as a high
-    /// one (earlier, larger reclamation), latency-critical jobs ignore the
-    /// low signal and only reclaim on high, and the class is written into
-    /// the job's PID file so the monitor's kill ordering sees it.
-    pub fn run_classed(&self, schedule: Vec<ScheduleEntry>, classes: &[JobClass]) -> RunResult {
-        self.run_full(schedule, None, &FaultPlan::none(), classes)
-    }
-
-    /// Like [`Machine::run`], but places each scheduled application in its
-    /// own container with a static limit (`memory.high` semantics: members
-    /// of an over-limit container receive reclaim pressure once per second).
-    /// This is the per-container static baseline for the paper's §9
-    /// container question.
-    pub fn run_with_containers(
-        &self,
-        schedule: Vec<ScheduleEntry>,
-        container_limits: Option<Vec<u64>>,
-    ) -> RunResult {
-        self.run_full(schedule, container_limits, &FaultPlan::none(), &[])
-    }
-
-    /// Legacy failure injection: the application at schedule index `idx` is
-    /// killed (as by a crash) at each `(t, idx)` in `kills`. Equivalent to
-    /// [`Machine::run_with_faults`] with a crash-only [`FaultPlan`].
-    pub fn run_with_chaos(
-        &self,
-        schedule: Vec<ScheduleEntry>,
-        kills: Vec<(SimDuration, usize)>,
-    ) -> RunResult {
-        self.run_full(schedule, None, &FaultPlan::from_kills(kills), &[])
-    }
-
-    /// Fault injection: runs the schedule while executing `faults` against
-    /// it — crashes, non-cooperation, leaks, signal loss/delay, meminfo
-    /// outages, registration churn. The returned
-    /// [`RunResult::degradation`] accounts for every injected item.
-    pub fn run_with_faults(&self, schedule: Vec<ScheduleEntry>, faults: &FaultPlan) -> RunResult {
-        self.run_full(schedule, None, faults, &[])
-    }
-
-    /// [`Machine::run_with_faults`] with per-entry criticality classes (see
-    /// [`Machine::run_classed`]).
-    pub fn run_with_faults_classed(
-        &self,
-        schedule: Vec<ScheduleEntry>,
-        faults: &FaultPlan,
-        classes: &[JobClass],
-    ) -> RunResult {
-        self.run_full(schedule, None, faults, classes)
-    }
-
-    fn run_full(
-        &self,
-        schedule: Vec<ScheduleEntry>,
-        container_limits: Option<Vec<u64>>,
-        faults: &FaultPlan,
-        classes: &[JobClass],
-    ) -> RunResult {
+    // Non-generic, so the world loop is compiled once in this crate.
+    fn run_spec(&self, spec: RunSpec) -> RunResult {
+        let RunSpec {
+            schedule,
+            classes,
+            faults,
+            container_limits,
+        } = spec;
         let mut kernel = Kernel::new(KernelConfig::with_total(self.cfg.phys_total));
         if !self.cfg.capture_trace {
             kernel.trace = TraceLog::disabled();
@@ -343,8 +354,7 @@ impl Machine {
                 started: SimTime::ZERO + *start,
                 finished: None,
                 ended: None,
-                killed: false,
-                failed: false,
+                failure: None,
                 gc_pause: SimDuration::ZERO,
                 mm_time: SimDuration::ZERO,
                 stall: SimDuration::ZERO,
@@ -425,7 +435,7 @@ impl Machine {
                 let app = bp.build_configured(pid, self.cfg.node_salt, self.cfg.scheduler_config());
                 results[idx].started = now;
                 if app.failed() {
-                    results[idx].failed = true;
+                    results[idx].failure = Some(JobFailure::Crashed);
                     results[idx].ended = Some(now);
                     kernel.exit(pid);
                     continue;
@@ -486,7 +496,7 @@ impl Machine {
                             }
                             None => {
                                 let r = &results[ev.target];
-                                let reason = if r.finished.is_some() || r.killed || r.failed {
+                                let reason = if r.finished.is_some() || r.failure.is_some() {
                                     UnappliedReason::AlreadyDone
                                 } else {
                                     UnappliedReason::NotStarted
@@ -598,7 +608,7 @@ impl Machine {
                 for sig in kernel.take_signals(pid) {
                     match sig {
                         Signal::Kill => {
-                            results[slot.idx].killed = true;
+                            results[slot.idx].failure = Some(JobFailure::Killed);
                         }
                         other => {
                             // A pressure signal can share the batch with (or
@@ -656,7 +666,7 @@ impl Machine {
                 }
             }
             running.retain(|s| {
-                if results[s.idx].killed {
+                if results[s.idx].failure == Some(JobFailure::Killed) {
                     results[s.idx].peak_rss = s.peak_rss;
                     results[s.idx].stall = s.stall;
                     results[s.idx].ended = Some(now);
@@ -697,7 +707,7 @@ impl Machine {
                     let r = &mut results[s.idx];
                     r.finished = Some(now + self.cfg.tick);
                     r.ended = r.finished;
-                    r.failed = s.app.failed();
+                    r.failure = s.app.failed().then_some(JobFailure::Crashed);
                     r.gc_pause = s.app.gc_pause();
                     r.mm_time = s.app.mm_time();
                     r.stall = s.stall;
@@ -985,7 +995,7 @@ mod tests {
         let bp = blueprint_for(AppKind::NWeight, &AppConfig::stock_default(), false);
         let m = Machine::new(MachineConfig::stock_64gb());
         let res = m.run(vec![("w".into(), SimDuration::ZERO, bp)]);
-        assert!(res.apps[0].failed);
+        assert_eq!(res.apps[0].failure, Some(JobFailure::Crashed));
         assert!(res.apps[0].finished.is_none());
         assert!(!res.all_finished());
     }
@@ -1027,7 +1037,11 @@ mod tests {
             spark_entry_ws("b", 2, 8, true, 6),
         ];
         let classes = vec![crate::scenario::JobClass::new(crit, 0); 2];
-        let res = Machine::new(cfg).run_classed(entries, &classes);
+        let res = Machine::new(cfg).run(RunSpec {
+            schedule: entries,
+            classes,
+            ..RunSpec::default()
+        });
         let mut low = 0;
         let mut high = 0;
         for e in res.trace.events() {

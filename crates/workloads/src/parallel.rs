@@ -23,9 +23,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::faults::FaultPlan;
 use crate::machine::MachineConfig;
-use crate::runner::{run_scenario_with_faults, ScenarioOutcome};
+use crate::runner::{run_scenario, ScenarioOutcome};
 use crate::scenario::Scenario;
 use crate::settings::Setting;
 
@@ -142,65 +141,33 @@ pub fn cache_stats() -> CacheStats {
 /// Like [`run_scenario`], but content-addressed: the serialized
 /// `(scenario, setting, machine_cfg)` triple keys a process-wide cache, and
 /// an identical earlier run is returned as a shared [`Arc`] without
-/// re-simulating. The config is normalized through
+/// re-simulating. The scenario carries its fault plan, so a faulted run can
+/// never be answered from (or pollute) the entry of the same run under a
+/// different plan. The config is normalized through
 /// [`MachineConfig::with_setting`] *before* keying, so configs that differ
-/// only in fields the runner overrides anyway share an entry.
+/// only in fields the runner overrides anyway share an entry. Fan a batch
+/// of runs out with [`parallel_map`] over this function.
 pub fn run_scenario_cached(
     scenario: &Scenario,
     setting: &Setting,
     machine_cfg: MachineConfig,
 ) -> Arc<ScenarioOutcome> {
-    run_scenario_cached_faulted(scenario, setting, machine_cfg, &FaultPlan::none())
-}
-
-/// [`run_scenario_cached`] under a [`FaultPlan`]. The plan is part of the
-/// content-addressed key, so a faulted run can never be answered from (or
-/// pollute) the cache entry of the same run with a different plan — in
-/// particular the fault-free one.
-pub fn run_scenario_cached_faulted(
-    scenario: &Scenario,
-    setting: &Setting,
-    machine_cfg: MachineConfig,
-    faults: &FaultPlan,
-) -> Arc<ScenarioOutcome> {
     let cfg = machine_cfg.with_setting(setting);
-    CACHE.get_or_compute(&(scenario, setting, &cfg, faults), || {
-        run_scenario_with_faults(scenario, setting, cfg, faults)
-    })
-}
-
-/// Runs every `(scenario, setting, machine_cfg)` job on [`worker_threads`]
-/// workers, memoized, returning outcomes in submission order.
-pub fn run_scenarios_parallel(
-    jobs: Vec<(Scenario, Setting, MachineConfig)>,
-) -> Vec<Arc<ScenarioOutcome>> {
-    run_scenarios_parallel_with(jobs, worker_threads())
-}
-
-/// [`run_scenarios_parallel`] with an explicit worker count (the
-/// determinism test compares 1/4/8).
-pub fn run_scenarios_parallel_with(
-    jobs: Vec<(Scenario, Setting, MachineConfig)>,
-    workers: usize,
-) -> Vec<Arc<ScenarioOutcome>> {
-    parallel_map(jobs, workers, |(scenario, setting, cfg)| {
-        run_scenario_cached(&scenario, &setting, cfg)
+    CACHE.get_or_compute(&(scenario, setting, &cfg), || {
+        run_scenario(scenario, setting, cfg)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::AppKind;
     use crate::settings::{AppConfig, SettingKind};
-    use m3_sim::clock::SimDuration;
 
     #[test]
     fn cache_returns_shared_result_on_identical_inputs() {
         let scenario = Scenario {
             name: "parallel-cache-test".into(),
-            apps: vec![(AppKind::KMeans, SimDuration::ZERO)],
-            classes: Vec::new(),
+            ..Scenario::uniform("M", 0)
         };
         let setting = Setting::uniform(SettingKind::Default, AppConfig::stock_default(), 1);
         let cfg = MachineConfig::stock_64gb();

@@ -5,8 +5,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-use crate::faults::FaultPlan;
-use crate::machine::{Machine, MachineConfig, RunResult};
+use crate::machine::{Machine, MachineConfig, RunResult, RunSpec};
 use crate::scenario::Scenario;
 use crate::settings::{blueprint_for, Setting, SettingKind};
 
@@ -54,18 +53,12 @@ pub struct SpeedupReport {
 }
 
 impl ScenarioOutcome {
-    /// Per-app runtimes in seconds (`None` for failed/killed apps).
+    /// Per-app runtimes in seconds (`None` for apps that did not complete).
     pub fn runtimes_secs(&self) -> Vec<Option<f64>> {
         self.run
             .apps
             .iter()
-            .map(|a| {
-                if a.killed || a.failed {
-                    None
-                } else {
-                    a.runtime().map(|d| d.as_secs_f64())
-                }
-            })
+            .map(|a| a.completed_runtime().map(|d| d.as_secs_f64()))
             .collect()
     }
 
@@ -92,24 +85,16 @@ impl ScenarioOutcome {
 }
 
 /// Runs `scenario` under `setting` on a node described by `machine_cfg`
-/// (whose `monitor` field is overridden to match the setting).
+/// (whose `monitor` field is overridden to match the setting). The
+/// scenario's classes and fault plan ride along into the node run; a
+/// faulted scenario is a chaos drill whose
+/// [`crate::machine::RunResult::degradation`] reports what the plan did
+/// and how the monitor coped. Uncached: see
+/// [`crate::parallel::run_scenario_cached`] for the memoized twin.
 pub fn run_scenario(
     scenario: &Scenario,
     setting: &Setting,
     machine_cfg: MachineConfig,
-) -> ScenarioOutcome {
-    run_scenario_with_faults(scenario, setting, machine_cfg, &FaultPlan::none())
-}
-
-/// Like [`run_scenario`], but the run executes under a [`FaultPlan`]: a
-/// chaos drill over a real scenario. The outcome's
-/// [`RunResult::degradation`] reports what the plan did and how the monitor
-/// coped.
-pub fn run_scenario_with_faults(
-    scenario: &Scenario,
-    setting: &Setting,
-    machine_cfg: MachineConfig,
-    faults: &FaultPlan,
 ) -> ScenarioOutcome {
     assert!(
         setting.is_m3() || setting.per_app.len() == scenario.apps.len(),
@@ -130,7 +115,12 @@ pub fn run_scenario_with_faults(
             (app_name(kind.code(), i), start, bp)
         })
         .collect();
-    let run = machine.run_with_faults_classed(schedule, faults, &scenario.classes);
+    let run = machine.run(RunSpec {
+        schedule,
+        classes: scenario.classes.clone(),
+        faults: scenario.faults.clone(),
+        container_limits: None,
+    });
     if let Ok(path) = std::env::var("M3_TRACE") {
         if !path.is_empty() {
             if let Ok(json) = serde_json::to_string_pretty(&run.trace) {
@@ -198,7 +188,6 @@ pub fn compare_m3_vs(
 mod tests {
     use super::*;
     use crate::machine::AppResult;
-    use crate::scenario::AppKind;
     use crate::settings::AppConfig;
     use m3_sim::clock::{SimDuration, SimTime};
     use m3_sim::metrics::Profile;
@@ -212,8 +201,7 @@ mod tests {
                 started: SimTime::ZERO,
                 finished: r.map(|s| SimTime::from_millis((s * 1000.0) as u64)),
                 ended: r.map(|s| SimTime::from_millis((s * 1000.0) as u64)),
-                killed: false,
-                failed: r.is_none(),
+                failure: r.is_none().then_some(crate::machine::JobFailure::Crashed),
                 gc_pause: SimDuration::ZERO,
                 mm_time: SimDuration::ZERO,
                 stall: SimDuration::ZERO,
@@ -275,8 +263,7 @@ mod tests {
         // A minimal but real end-to-end run: one k-means under Default.
         let scenario = Scenario {
             name: "M solo".into(),
-            apps: vec![(AppKind::KMeans, SimDuration::ZERO)],
-            classes: Vec::new(),
+            ..Scenario::uniform("M", 0)
         };
         let setting = Setting::uniform(SettingKind::Default, AppConfig::stock_default(), 1);
         let out = run_scenario(&scenario, &setting, MachineConfig::stock_64gb());

@@ -9,6 +9,8 @@ use m3_sim::clock::SimDuration;
 use m3_sim::trace::Criticality;
 use serde::{Deserialize, Serialize};
 
+use crate::faults::FaultPlan;
+
 /// The kinds of application the evaluation schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AppKind {
@@ -79,8 +81,10 @@ impl JobClass {
     }
 }
 
-/// One evaluation workload: applications with start offsets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One evaluation workload: applications with start offsets, plus the
+/// per-application annotations a run honours (criticality classes and an
+/// injected fault plan, both indexed by schedule position).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// The paper-style name, e.g. `"MMW 180"`.
     pub name: String,
@@ -91,6 +95,10 @@ pub struct Scenario {
     /// which keeps unclassified scenarios content-addressing exactly as
     /// before classes existed.
     pub classes: Vec<JobClass>,
+    /// What goes wrong during the run; its app-targeted events name
+    /// schedule indices. Part of the memo key, so a faulted run never
+    /// shares a cache entry with the fault-free one.
+    pub faults: FaultPlan,
 }
 
 impl Scenario {
@@ -114,6 +122,7 @@ impl Scenario {
             name: format!("{codes} {delay_secs}"),
             apps,
             classes: Vec::new(),
+            faults: FaultPlan::none(),
         }
     }
 
@@ -244,6 +253,7 @@ pub fn fleet_scale_scenario(nodes: usize) -> Scenario {
         name: format!("fleet-scale {nodes}x{WAVES}"),
         apps,
         classes: Vec::new(),
+        faults: FaultPlan::none(),
     }
 }
 
@@ -266,6 +276,7 @@ pub fn mixed_criticality_scenario(batch: usize, slo_ms: u64) -> Scenario {
         name: format!("mixed-crit {batch}xM+X"),
         apps,
         classes,
+        faults: FaultPlan::none(),
     }
 }
 

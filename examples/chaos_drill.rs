@@ -33,8 +33,13 @@ fn main() {
         "injecting {} fault events into MM 60 under M3 ...",
         plan.injected_count()
     );
-    let clean = run_scenario(&scenario, &Setting::m3(scenario.len()), cfg);
-    let chaos = run_scenario_with_faults(&scenario, &Setting::m3(scenario.len()), cfg, &plan);
+    let setting = Setting::m3(scenario.len());
+    let faulted = Scenario {
+        faults: plan,
+        ..scenario.clone()
+    };
+    let clean = run_scenario(&scenario, &setting, cfg);
+    let chaos = run_scenario(&faulted, &setting, cfg);
 
     println!("\n{:<8} {:>10} {:>10}", "app", "clean (s)", "chaos (s)");
     for i in 0..scenario.len() {
@@ -86,8 +91,9 @@ fn main() {
         }
     }
 
-    // Fixed seeds: a second run must reproduce the report byte for byte.
-    let replay = run_scenario_with_faults(&scenario, &Setting::m3(scenario.len()), cfg, &plan);
+    // Fixed seeds: a second (uncached) run must reproduce the report byte
+    // for byte.
+    let replay = run_scenario(&faulted, &setting, cfg);
     let a = serde_json::to_string(&chaos.run).expect("serialize");
     let b = serde_json::to_string(&replay.run).expect("serialize");
     assert_eq!(a, b, "chaos drill must be deterministic");

@@ -35,7 +35,7 @@ fn main() {
     println!("\n{:<12} {:>10} {:>12}", "app", "M3 (s)", "Default (s)");
     for (m, d) in m3.run.apps.iter().zip(&default.run.apps) {
         let fmt = |a: &m3::workloads::machine::AppResult| {
-            if a.failed {
+            if a.failure.is_some() {
                 "FAIL".to_string()
             } else {
                 format!(

@@ -5,17 +5,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
-# Chaos suite: fault injection, watchdog escalation, degradation accounting.
-cargo test -q --test chaos
-# Trace-oracle conformance: zero invariant violations on real runs, golden
-# traces byte-identical, fast/slow world loops trace-equal. On failure the
-# offending trace JSON lands in target/conformance-artifacts/.
-cargo test -q --test conformance
-# Fleet suite: scheduler-vs-cluster differential, golden placement log,
-# cluster-oracle invariants, and the fleet placement properties.
-cargo test -q --test fleet
-cargo test -q --test fleet_properties
+# Every crate's unit tests and doctests plus the facade's integration
+# suites: chaos (fault injection, watchdog escalation, degradation
+# accounting), conformance (zero invariant violations on real runs, golden
+# traces byte-identical; on failure the offending trace JSON lands in
+# target/conformance-artifacts/), fleet and fleet_properties.
+cargo test --workspace -q
+# The benchmark package builds the library from source through a path
+# dependency; its tests pin the entry points it calls.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # Fixed-seed chaos drills (node- and fleet-level); each asserts its own
 # replay is byte-identical and, at fleet level, zero oracle violations.
 cargo run --release --example chaos_drill
@@ -57,5 +55,5 @@ M3_MIXED_CRIT_MAX_BATCH=4 M3_MIXED_CRIT_BUDGET_S=60 \
 M3_RECLAIM_PACKETS_SALTS=4 M3_RECLAIM_PACKETS_BUDGET_S=60 \
     M3_RESULTS_DIR=target/ci-results \
     cargo bench -p m3-bench --bench reclaim_packets
-cargo clippy -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check

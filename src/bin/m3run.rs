@@ -176,18 +176,16 @@ fn run_cmd(args: &[String]) {
     let out = run_scenario(&scenario, &setting, cfg);
     println!("{} under {}:", scenario.name, setting.kind.label());
     for a in &out.run.apps {
-        let status = if a.failed {
-            "FAIL (insufficient static memory)".to_string()
-        } else if a.killed {
-            "KILLED".to_string()
-        } else {
-            format!(
+        let status = match a.failure {
+            Some(JobFailure::Crashed) => "FAIL (insufficient static memory)".to_string(),
+            Some(_) => "KILLED".to_string(),
+            None => format!(
                 "{:.0}s  (gc {:.0}s, mm {:.0}s, peak {:.1} GiB)",
                 a.runtime().map(|d| d.as_secs_f64()).unwrap_or(f64::NAN),
                 a.gc_pause.as_secs_f64(),
                 a.mm_time.as_secs_f64(),
                 a.peak_rss as f64 / GIB as f64
-            )
+            ),
         };
         println!("  {:<8} {}", a.name, status);
     }

@@ -14,8 +14,7 @@ use m3::prelude::*;
 use m3::runtime::JvmConfig;
 use m3::workloads::apps::AppBlueprint;
 use m3::workloads::faults::{FaultKind, UnappliedReason};
-use m3::workloads::machine::ScheduleEntry;
-use m3::workloads::run_scenario_cached_faulted;
+use m3::workloads::machine::{RunSpec, ScheduleEntry};
 use m3::workloads::settings::M3_HEAP_CEILING;
 use proptest::prelude::*;
 
@@ -61,9 +60,16 @@ fn small_m3_cfg() -> MachineConfig {
     cfg
 }
 
+fn run_faulted(cfg: MachineConfig, schedule: Vec<ScheduleEntry>, plan: &FaultPlan) -> RunResult {
+    Machine::new(cfg).run(RunSpec {
+        schedule,
+        faults: plan.clone(),
+        ..RunSpec::default()
+    })
+}
+
 fn run_bytes(cfg: MachineConfig, schedule: Vec<ScheduleEntry>, plan: &FaultPlan) -> String {
-    let res = Machine::new(cfg).run_with_faults(schedule, plan);
-    serde_json::to_string(&res).expect("serialize run")
+    serde_json::to_string(&run_faulted(cfg, schedule, plan)).expect("serialize run")
 }
 
 /// Representative built-in plans covering every fault class.
@@ -158,16 +164,16 @@ fn watchdog_escalates_unresponsive_participant_to_kill() {
     let mut cfg = small_m3_cfg();
     cfg.monitor.as_mut().expect("m3 node").kill_timeout = SimDuration::from_secs(10);
     let plan = FaultPlan::none().with_unresponsive(SimDuration::from_secs(100), 1, 0.0);
-    let res = Machine::new(cfg).run_with_faults(schedule, &plan);
+    let res = run_faulted(cfg, schedule, &plan);
 
     let hog = &res.apps[1];
     assert!(
-        hog.killed,
+        hog.failure == Some(JobFailure::Killed),
         "the monitor must escalate the non-cooperator to a kill: {hog:?}"
     );
     let coop = &res.apps[0];
     assert!(
-        coop.finished.is_some() && !coop.killed,
+        coop.completed().is_some(),
         "the cooperating participant must survive and complete: {coop:?}"
     );
 
@@ -214,7 +220,7 @@ fn unapplied_chaos_is_recorded_not_dropped() {
         .with_crash(SimDuration::from_secs(5), 99)
         // Far beyond the run's natural end.
         .with_leak(SimDuration::from_secs(35_000), 0, MIB);
-    let res = Machine::new(small_m3_cfg()).run_with_faults(schedule, &plan);
+    let res = run_faulted(small_m3_cfg(), schedule, &plan);
     let d = &res.degradation;
     assert_eq!(d.faults_injected, 5);
     assert_eq!(d.faults_applied, 1, "only the 60-s crash applies");
@@ -244,7 +250,7 @@ fn registration_churn_applies_and_the_run_is_unharmed() {
             GIB / 4,
             SimDuration::from_secs(20),
         );
-    let res = Machine::new(small_m3_cfg()).run_with_faults(schedule(), &plan);
+    let res = run_faulted(small_m3_cfg(), schedule(), &plan);
     assert!(res.all_finished(), "churn bystanders must not hurt the app");
     assert_eq!(res.degradation.faults_applied, 2);
     // The ghost/bystander pid dance is deterministic too.
@@ -258,7 +264,7 @@ fn degraded_polling_is_counted_during_outages() {
     let schedule = vec![m3_entry("a", 0, 2, 50)];
     let plan =
         FaultPlan::none().with_poll_outage(SimDuration::from_secs(20), SimDuration::from_secs(10));
-    let res = Machine::new(small_m3_cfg()).run_with_faults(schedule, &plan);
+    let res = run_faulted(small_m3_cfg(), schedule, &plan);
     assert!(res.all_finished());
     let d = &res.degradation;
     assert!(
@@ -272,21 +278,24 @@ fn fault_plan_is_part_of_the_memo_key() {
     let scenario = Scenario::uniform("M", 0);
     let setting = Setting::m3(1);
     let cfg = MachineConfig::stock_64gb();
-    let plain = FaultPlan::none();
-    let faulted = FaultPlan::none().with_crash(SimDuration::from_secs(60), 0);
+    let faulted = Scenario {
+        faults: FaultPlan::none().with_crash(SimDuration::from_secs(60), 0),
+        ..scenario.clone()
+    };
 
-    let a = run_scenario_cached_faulted(&scenario, &setting, cfg, &plain);
-    let b = run_scenario_cached_faulted(&scenario, &setting, cfg, &faulted);
+    let a = run_scenario_cached(&scenario, &setting, cfg);
+    let b = run_scenario_cached(&faulted, &setting, cfg);
     assert!(
         !Arc::ptr_eq(&a, &b),
         "runs differing only in the fault plan must not share a cache entry"
     );
     // Same plan → same entry; and the faulted run really is different.
-    let a2 = run_scenario_cached_faulted(&scenario, &setting, cfg, &plain);
-    let b2 = run_scenario_cached_faulted(&scenario, &setting, cfg, &faulted);
+    let a2 = run_scenario_cached(&scenario, &setting, cfg);
+    let b2 = run_scenario_cached(&faulted, &setting, cfg);
     assert!(Arc::ptr_eq(&a, &a2));
     assert!(Arc::ptr_eq(&b, &b2));
-    assert!(!b.run.apps[0].killed || !a.run.apps[0].killed || a.run.end != b.run.end);
+    assert_eq!(a.run.apps[0].failure, None);
+    assert_eq!(b.run.apps[0].failure, Some(JobFailure::Killed));
 }
 
 /// Strategy for a small arbitrary fault plan over a 2-app schedule: app

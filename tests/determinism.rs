@@ -12,10 +12,10 @@ use m3::sim::clock::SimDuration;
 use m3::sim::units::MIB;
 use m3::workloads::faults::FaultPlan;
 use m3::workloads::machine::MachineConfig;
-use m3::workloads::runner::{run_scenario, run_scenario_with_faults};
+use m3::workloads::runner::run_scenario;
 use m3::workloads::scenario::Scenario;
 use m3::workloads::settings::Setting;
-use m3::workloads::{parallel_map, run_scenarios_parallel_with};
+use m3::workloads::{parallel_map, run_scenario_cached};
 
 /// A small but representative job mix: stock and M3 regimes, solo and
 /// staggered multi-app schedules, analytics and cache kinds — with profile
@@ -60,7 +60,9 @@ fn parallel_harness_matches_serial_at_1_4_8_workers() {
         .collect();
     for workers in [1, 4, 8] {
         for rep in 0..2 {
-            let outs = run_scenarios_parallel_with(jobs.clone(), workers);
+            let outs = parallel_map(jobs.clone(), workers, |(s, set, cfg)| {
+                run_scenario_cached(&s, &set, cfg)
+            });
             assert_eq!(outs.len(), jobs.len());
             for (i, out) in outs.iter().enumerate() {
                 let bytes = serde_json::to_string(&out.run).expect("serialize run");
@@ -75,7 +77,7 @@ fn parallel_harness_matches_serial_at_1_4_8_workers() {
 
 #[test]
 fn uncached_parallel_fanout_matches_serial() {
-    // `run_scenarios_parallel_with` may answer repeats from the memo cache;
+    // The memoized fan-out above may answer repeats from the memo cache;
     // this variant forces a fresh simulation per job on every worker count,
     // proving the fan-out itself (not just the cache) is deterministic.
     let jobs = jobs();
@@ -168,8 +170,9 @@ fn mixed_criticality_colocation_is_deterministic_across_workers() {
         let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
         fleet.rebalance_checks = 10;
         fleet.crit_blind = blind;
-        let a = run_fleet_with_workers(&scenario, &setting, cfg, &fleet, 1);
-        let b = run_fleet_with_workers(&scenario, &setting, cfg, &fleet, 8);
+        let clean = FleetFaultPlan::none();
+        let a = run_fleet_faulted_with_workers(&scenario, &setting, cfg, &fleet, &clean, 1);
+        let b = run_fleet_faulted_with_workers(&scenario, &setting, cfg, &fleet, &clean, 8);
         assert_eq!(
             serde_json::to_string(&a).expect("serialize fleet"),
             serde_json::to_string(&b).expect("serialize fleet"),
@@ -240,9 +243,11 @@ fn chaos_plan() -> FaultPlan {
 }
 
 fn chaos_bytes(scenario: &Scenario, setting: &Setting, cfg: MachineConfig) -> String {
-    let plan = chaos_plan();
-    serde_json::to_string(&run_scenario_with_faults(scenario, setting, cfg, &plan).run)
-        .expect("serialize run")
+    let faulted = Scenario {
+        faults: chaos_plan(),
+        ..scenario.clone()
+    };
+    serde_json::to_string(&run_scenario(&faulted, setting, cfg).run).expect("serialize run")
 }
 
 #[test]

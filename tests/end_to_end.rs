@@ -42,7 +42,7 @@ fn m3_beats_default_on_a_fig5_workload() {
         rep.mean_speedup.is_none(),
         "Default cannot run n-weight (min heap > 16 GB)"
     );
-    assert!(default.run.apps[2].failed);
+    assert_eq!(default.run.apps[2].failure, Some(JobFailure::Crashed));
     assert!(m3.run.all_finished());
 }
 

@@ -17,13 +17,7 @@ fn mean_runtime(res: &m3::workloads::machine::RunResult) -> Option<f64> {
     let rts: Vec<Option<f64>> = res
         .apps
         .iter()
-        .map(|a| {
-            if a.failed || a.killed {
-                None
-            } else {
-                a.runtime().map(|d| d.as_secs_f64())
-            }
-        })
+        .map(|a| a.completed_runtime().map(|d| d.as_secs_f64()))
         .collect();
     if rts.iter().any(Option::is_none) || rts.is_empty() {
         None
@@ -47,8 +41,11 @@ fn container_limits_pressure_their_members() {
         })
         .collect();
     // The Go-Cache's full demand is ~46 GiB; a 10-GiB container must cap it.
-    let res =
-        Machine::new(quick_cfg()).run_with_containers(schedule, Some(vec![10 * GIB, 40 * GIB]));
+    let res = Machine::new(quick_cfg()).run(RunSpec {
+        schedule,
+        container_limits: Some(vec![10 * GIB, 40 * GIB]),
+        ..RunSpec::default()
+    });
     let cache = &res.apps[0];
     assert!(cache.finished.is_some(), "capped cache still completes");
     assert!(
@@ -73,8 +70,11 @@ fn m3_beats_static_containers_on_phase_shifting_workload() {
             (m3::workloads::app_name(kind.code(), i), start, bp)
         })
         .collect();
-    let contained = Machine::new(quick_cfg())
-        .run_with_containers(schedule, Some(vec![27 * GIB, 11 * GIB, 24 * GIB]));
+    let contained = Machine::new(quick_cfg()).run(RunSpec {
+        schedule,
+        container_limits: Some(vec![27 * GIB, 11 * GIB, 24 * GIB]),
+        ..RunSpec::default()
+    });
     let m3_mean = m3.mean_runtime_secs().expect("m3 finishes");
     let cont_mean = mean_runtime(&contained).expect("containers finish");
     assert!(
@@ -150,13 +150,21 @@ fn crash_mid_run_frees_memory_for_survivors() {
         .collect();
     let mut cfg = quick_cfg();
     cfg.monitor = Some(MonitorConfig::paper_64gb());
-    let res = Machine::new(cfg).run_with_chaos(schedule, vec![(SimDuration::from_secs(120), 0)]);
+    let res = Machine::new(cfg).run(RunSpec {
+        schedule,
+        faults: FaultPlan::none().with_crash(SimDuration::from_secs(120), 0),
+        ..RunSpec::default()
+    });
     let cache = &res.apps[0];
-    assert!(cache.killed, "the injected crash must be recorded");
+    assert_eq!(
+        cache.failure,
+        Some(JobFailure::Killed),
+        "the injected crash must be recorded"
+    );
     assert!(cache.finished.is_none());
     let kmeans = &res.apps[1];
     assert!(
-        kmeans.finished.is_some() && !kmeans.killed,
+        kmeans.completed().is_some(),
         "the survivor must complete: {kmeans:?}"
     );
     // No residual memory after the run.
@@ -178,14 +186,17 @@ fn chaos_on_all_apps_ends_the_run() {
         .collect();
     let mut cfg = quick_cfg();
     cfg.monitor = Some(MonitorConfig::paper_64gb());
-    let res = Machine::new(cfg).run_with_chaos(
+    let res = Machine::new(cfg).run(RunSpec {
         schedule,
-        vec![
-            (SimDuration::from_secs(30), 0),
-            (SimDuration::from_secs(40), 1),
-        ],
-    );
-    assert!(res.apps.iter().all(|a| a.killed));
+        faults: FaultPlan::none()
+            .with_crash(SimDuration::from_secs(30), 0)
+            .with_crash(SimDuration::from_secs(40), 1),
+        ..RunSpec::default()
+    });
+    assert!(res
+        .apps
+        .iter()
+        .all(|a| a.failure == Some(JobFailure::Killed)));
     assert!(
         res.end < SimTime::from_secs(120),
         "the run must terminate promptly once everyone is dead, ended at {}",

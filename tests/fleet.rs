@@ -19,6 +19,7 @@ use m3::prelude::*;
 use m3::sim::trace::TraceLog;
 use m3::workloads::fleet::fleet_cache_stats;
 use m3::workloads::scenario::fleet_scenarios;
+use m3::workloads::worker_threads;
 
 fn machine() -> MachineConfig {
     let mut cfg = MachineConfig::stock_64gb();
@@ -254,7 +255,14 @@ fn chaotic_fleet_run_is_conformant_and_fully_accounted() {
         .with_flap(2, SimDuration::from_secs(300), SimDuration::from_secs(900))
         .with_placement_delay(3, SimDuration::from_secs(120))
         .with_scheduler_restart(SimDuration::from_secs(1_200));
-    let res = run_fleet_with_faults(&scenario, &setting, machine(), &fleet, &plan);
+    let res = run_fleet_faulted_with_workers(
+        &scenario,
+        &setting,
+        machine(),
+        &fleet,
+        &plan,
+        worker_threads(),
+    );
     assert!(
         res.violations.is_empty(),
         "chaotic run must still be conformant: {:#?}",
@@ -282,7 +290,14 @@ fn chaotic_fleet_run_is_conformant_and_fully_accounted() {
     let again = FleetOracle::new(fleet.grace.as_millis()).check(&res.trace);
     assert!(again.is_empty(), "independent replay: {again:#?}");
     // Chaos runs are deterministic and serde-stable end to end.
-    let repeat = run_fleet_with_faults(&scenario, &setting, machine(), &fleet, &plan);
+    let repeat = run_fleet_faulted_with_workers(
+        &scenario,
+        &setting,
+        machine(),
+        &fleet,
+        &plan,
+        worker_threads(),
+    );
     assert_eq!(
         serde_json::to_string(&res).unwrap(),
         serde_json::to_string(&repeat).unwrap(),

@@ -165,8 +165,8 @@ proptest! {
             }
         }
         let setting = Setting::m3(scenario.len());
-        let a = run_fleet_with_workers(&scenario, &setting, machine(), &fleet, 1);
-        let b = run_fleet_with_workers(&scenario, &setting, machine(), &fleet, 8);
+        let a = run_fleet_faulted_with_workers(&scenario, &setting, machine(), &fleet, &FleetFaultPlan::none(), 1);
+        let b = run_fleet_faulted_with_workers(&scenario, &setting, machine(), &fleet, &FleetFaultPlan::none(), 8);
         prop_assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),

@@ -12,7 +12,7 @@ use m3::sim::trace::Criticality;
 use m3::sim::units::{GIB, KIB, MIB};
 use m3::workloads::faults::{FaultEvent, FaultKind, FaultPlan};
 use m3::workloads::machine::MachineConfig;
-use m3::workloads::runner::{run_scenario, run_scenario_with_faults};
+use m3::workloads::runner::run_scenario;
 use m3::workloads::scenario::Scenario;
 use m3::workloads::settings::Setting;
 use proptest::prelude::*;
@@ -547,11 +547,14 @@ proptest! {
     /// the trace must replay violation-free.
     #[test]
     fn fault_plans_only_violate_with_provenance(plan in fault_plan_strategy()) {
-        let scenario = Scenario::uniform("MM", 60);
+        let scenario = Scenario {
+            faults: plan.clone(),
+            ..Scenario::uniform("MM", 60)
+        };
         let setting = Setting::m3(scenario.len());
         let mut cfg = MachineConfig::m3_64gb();
         cfg.max_time = SimDuration::from_secs(40_000);
-        let out = run_scenario_with_faults(&scenario, &setting, cfg, &plan);
+        let out = run_scenario(&scenario, &setting, cfg);
         let d = &out.run.degradation;
         let untouched = d.faults_applied == 0
             && d.signals_dropped == 0
