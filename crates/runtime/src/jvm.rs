@@ -264,7 +264,7 @@ impl Jvm {
         releasable
     }
 
-    /// Bytes [`Jvm::maybe_return_free`] would give back right now: free heap
+    /// Bytes `Jvm::maybe_return_free` would give back right now: free heap
     /// beyond one commit chunk of slack, page-aligned, zero when returning
     /// is disabled. Pure — the release packet's cost estimator reads it.
     pub fn releasable(&self) -> u64 {

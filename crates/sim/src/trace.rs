@@ -11,6 +11,14 @@
 //! `"signal.high"`, `"evict.blocks"`); the prefix-query helpers
 //! ([`TraceLog::of_kind`], [`TraceLog::happened_before`], ...) operate on
 //! those kinds, so existing string-based assertions keep working.
+//!
+//! The wire format is declared once: the `trace_data!` table below lists
+//! every variant with its docs, its kind string(s) and its fields, and
+//! generates the enum, [`TraceData::kind`], the flat field serializer and
+//! the deserializer, which rejects a line whose kind disagrees with its
+//! payload. To add a kind, add one table entry. The paper oracle's
+//! exhaustive `match` over [`TraceData`] in `m3-oracle` then stops
+//! compiling until the new kind is given a check, or explicitly none.
 
 use crate::clock::SimTime;
 use serde::{map_field, Content, DeError, Deserialize, Serialize};
@@ -186,849 +194,526 @@ pub struct CandidateInfo {
     pub crit: Criticality,
 }
 
-/// The typed payload of one traced event.
+/// Declares [`TraceData`] from one table and generates its wire format from
+/// the same table: [`TraceData::kind`], the flat field serializer and the
+/// deserializer.
 ///
-/// Each variant serializes as a flat map whose `"kind"` entry is the stable
-/// dotted string returned by [`TraceData::kind`]; signal, threshold, GC and
-/// allocation-gate variants encode their discriminating sub-field in the
-/// kind itself (`"signal.high"`, `"gc.young"`, `"alloc.delay"`, ...).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceData {
-    /// A process was spawned.
-    ProcSpawn {
-        /// Display name of the process.
-        name: String,
-    },
-    /// A process was respawned reusing an existing pid.
-    ProcRespawn {
-        /// Display name of the process.
-        name: String,
-    },
-    /// A process exited normally.
-    ProcExit,
-    /// A process was killed.
-    ProcKill,
-    /// The kernel OOM killer chose this victim.
-    OomKill,
-    /// A threshold/kill signal was delivered to the process.
-    SignalSent {
-        /// Which signal.
-        sig: SigKind,
-    },
-    /// A signal was dropped by a faulty bus.
-    SignalDropped {
-        /// Which signal.
-        sig: SigKind,
-    },
-    /// A signal was delayed by a laggy bus.
-    SignalDelayed {
-        /// Which signal.
-        sig: SigKind,
-    },
-    /// Memory was returned to the OS (`madvise(MADV_FREE)`-equivalent).
-    Madvise {
-        /// Bytes actually released.
-        bytes: u64,
-    },
-    /// One monitor poll completed (§5): the zone it classified, the
-    /// thresholds in force, and every pid it signalled or killed this poll.
-    MonitorPoll {
-        /// The zone the poll classified usage into.
-        zone: TraceZone,
-        /// Memory usage observed, bytes.
-        used: u64,
-        /// Low threshold after this poll's adjustment, bytes.
-        low: u64,
-        /// High threshold after this poll's adjustment, bytes.
-        high: u64,
-        /// True when the poll ran on stale/degraded meminfo.
-        degraded: bool,
-        /// Pids sent a low signal this poll, in send order.
-        low_signalled: Vec<u64>,
-        /// Pids sent a high signal this poll, in send order.
-        high_signalled: Vec<u64>,
-        /// Pids killed this poll, in kill order.
-        killed: Vec<u64>,
-    },
-    /// The monitor's zone changed between polls.
-    ZoneChange {
-        /// Previous zone.
-        from: TraceZone,
-        /// New zone.
-        to: TraceZone,
-    },
-    /// An adaptive threshold moved (§5.2).
-    ThresholdAdjust {
-        /// Which threshold moved.
-        side: ThresholdSide,
-        /// Value before, bytes.
-        old: u64,
-        /// Value after, bytes.
-        new: u64,
-    },
-    /// Algorithm 1 ran (§5.1).
-    Selection {
-        /// The sort order used.
-        order: String,
-        /// Reclamation target, bytes.
-        target: u64,
-        /// True for the above-top signal-everyone escalation.
-        all: bool,
-        /// The unsorted candidate set the algorithm saw.
-        candidates: Vec<CandidateInfo>,
-        /// The selected pids, in signalling order.
-        selected: Vec<u64>,
-    },
-    /// The watchdog suppressed a high signal during backoff cooldown (§6).
-    WatchdogSkip,
-    /// The watchdog escalated an unresponsive process into backoff.
-    WatchdogEscalate {
-        /// The new backoff length, polls.
-        backoff: u64,
-    },
-    /// The watchdog re-signalled after a full cooldown.
-    WatchdogResignal {
-        /// The backoff length that just elapsed, polls.
-        backoff: u64,
-    },
-    /// The monitor killed a process to get back under top (§6).
-    MonitorKill {
-        /// The victim's RSS at kill time, bytes.
-        rss: u64,
-    },
-    /// An application signal handler started.
-    HandlerStart {
-        /// Which signal it is handling.
-        sig: SigKind,
-    },
-    /// An application signal handler finished.
-    HandlerEnd {
-        /// Which signal it handled.
-        sig: SigKind,
-        /// Handler wall time (the §4.2 epoch length), ms.
-        duration_ms: u64,
-        /// Bytes the whole stack returned to the OS.
-        returned: u64,
-    },
-    /// A framework-layer block-cache eviction (Spark, Table 1).
-    EvictBlocks {
-        /// Cached blocks before eviction.
-        before: u64,
-        /// Blocks evicted.
-        evicted: u64,
-        /// Bytes freed (marked dead in the layer below).
-        bytes: u64,
-        /// Why the eviction ran.
-        reason: EvictReason,
-    },
-    /// A cache-layer slab eviction (Go-Cache/Memcached, Table 1).
-    EvictSlabs {
-        /// Resident slabs before eviction.
-        before: u64,
-        /// Slabs evicted.
-        evicted: u64,
-        /// Items evicted.
-        items: u64,
-        /// Bytes freed (marked dead in the layer below).
-        bytes: u64,
-        /// Why the eviction ran.
-        reason: EvictReason,
-    },
-    /// Per-slab-class detail of a signal-driven cache eviction; a group of
-    /// these immediately precedes the aggregate [`TraceData::EvictSlabs`]
-    /// they sum to (key-granular runs only).
-    EvictClass {
-        /// Chunk size of the slab class, bytes.
-        chunk: u64,
-        /// Slabs the class held before eviction.
-        before: u64,
-        /// Slabs evicted from the class.
-        evicted: u64,
-        /// Live items removed with them.
-        items: u64,
-        /// Bytes freed (whole slabs).
-        bytes: u64,
-        /// Why the eviction ran.
-        reason: EvictReason,
-    },
-    /// Cumulative key-granular cache statistics (trace workloads): emitted
-    /// periodically during the measured phase and once at completion.
-    CacheStats {
-        /// Requests completed.
-        requests: u64,
-        /// GET hits.
-        hits: u64,
-        /// GET misses (including negative lookups).
-        misses: u64,
-        /// Negative lookups among the misses.
-        negative: u64,
-        /// SETs applied.
-        sets: u64,
-        /// DELETEs applied.
-        deletes: u64,
-        /// Inserts delayed by the adaptive protocol.
-        delayed: u64,
-        /// Items evicted by capacity pressure.
-        capacity_items: u64,
-        /// Resident bytes (whole slabs).
-        resident_bytes: u64,
-        /// Live items.
-        live_items: u64,
-        /// Simulated milliseconds since the measured phase began.
-        serve_ms: u64,
-    },
-    /// A runtime-layer collection ran.
-    Gc {
-        /// Which collection.
-        layer: GcLayer,
-        /// Bytes freed inside the heap.
-        reclaimed: u64,
-        /// Bytes returned to the OS by this collection.
-        returned: u64,
-        /// Stop-the-world pause charged to the mutator, ms.
-        pause_ms: u64,
-    },
-    /// One adaptive-allocation gate decision (§4.2, per-allocation form).
-    AllocGate {
-        /// True if this allocation was delayed (evict first).
-        delayed: bool,
-        /// The allow rate at decision time.
-        rate: f64,
-        /// Time since the last high signal, ms.
-        elapsed_ms: u64,
-        /// Epoch length (time handling the last high signal), ms.
-        epoch_ms: u64,
-        /// `NUM_epochs` of the protocol instance.
-        num_epochs: u32,
-        /// Recovery curve name (`"Linear"`, `"Exponential"`, `"Step"`).
-        curve: String,
-    },
-    /// One adaptive-allocation batched gate decision (§4.2, batched form).
-    AllocBatch {
-        /// Allocation attempts in the batch.
-        n: u64,
-        /// How many of them were delayed.
-        delayed: u64,
-        /// The allow rate at decision time.
-        rate: f64,
-        /// Time since the last high signal, ms.
-        elapsed_ms: u64,
-        /// Epoch length, ms.
-        epoch_ms: u64,
-        /// `NUM_epochs` of the protocol instance.
-        num_epochs: u32,
-        /// Recovery curve name.
-        curve: String,
-    },
-    /// The fleet scheduler probed one node's live pressure summary (the
-    /// event's `pid` is the node index).
-    FleetPressure {
-        /// The probed node.
-        node: u64,
-        /// The node's zone at probe time.
-        zone: TraceZone,
-        /// Committed bytes observed on the node.
-        used: u64,
-        /// Summed demand estimates of the node's assigned unfinished jobs
-        /// (what admission ranks against when it exceeds `used`).
-        reserved: u64,
-        /// The node's high threshold at probe time.
-        high: u64,
-        /// The node's top of memory.
-        top: u64,
-        /// Watchdog escalations accumulated on the node so far.
-        escalations: u64,
-    },
-    /// The fleet scheduler admitted a job and placed it onto a node (the
-    /// event's `pid` is the job index).
-    FleetPlace {
-        /// The placed job (scenario schedule index).
-        job: u64,
-        /// The target node.
-        node: u64,
-        /// The node's committed bytes at admission time.
-        used: u64,
-        /// The job's estimated peak demand, bytes.
-        demand: u64,
-        /// The target node's top of memory.
-        top: u64,
-    },
-    /// Admission control found no feasible node and deferred the job.
-    FleetDefer {
-        /// The deferred job.
-        job: u64,
-        /// How many admission attempts the job has made so far.
-        attempt: u64,
-        /// When the job will retry, ms.
-        retry_at_ms: u64,
-    },
-    /// Red-zone rebalancing migrated a job off a node armed beyond the
-    /// grace window.
-    FleetMigrate {
-        /// The migrated job.
-        job: u64,
-        /// The armed source node.
-        from: u64,
-        /// The target node.
-        to: u64,
-        /// How long the source had been observed red, ms.
-        red_for_ms: u64,
-    },
-    /// A job exhausted its deferral budget and was reported unplaceable.
-    FleetGiveUp {
-        /// The rejected job.
-        job: u64,
-        /// Admission attempts made before giving up.
-        attempts: u64,
-        /// The job's estimated peak demand, bytes (lets the oracle check no
-        /// probed node could in fact have admitted the job).
-        demand: u64,
-    },
-    /// A whole node crashed; every job resident on it died mid-run (the
-    /// event's `pid` is the node index).
-    FleetNodeLost {
-        /// The dead node.
-        node: u64,
-        /// Jobs that were alive on the node when it died.
-        jobs_lost: u64,
-    },
-    /// A job lost to node death was re-queued for placement (`requeued`)
-    /// or found its retry budget exhausted (the event's `pid` is the job).
-    FleetReschedule {
-        /// The lost job.
-        job: u64,
-        /// The node that died under it.
-        from: u64,
-        /// Node-loss incidents this job has now survived.
-        retries: u64,
-        /// When the job re-enters the arrival queue, ms (0 when not
-        /// requeued).
-        retry_at_ms: u64,
-        /// True if the job re-enters the queue; false if the retry budget
-        /// is exhausted and a give-up record follows.
-        requeued: bool,
-    },
-    /// A node's probe endpoint health changed its quarantine state (the
-    /// event's `pid` is the node index).
-    FleetQuarantine {
-        /// The node entering or leaving quarantine.
-        node: u64,
-        /// True on quarantine entry, false on re-admission.
-        entered: bool,
-        /// The probe streak that triggered the transition: consecutive
-        /// failures on entry, consecutive healthy probes on exit.
-        streak: u64,
-    },
-    /// The fleet scheduler recorded a job's criticality class and latency
-    /// SLO at submission time (the event's `pid` is the job index).
-    SchedClassAssign {
-        /// The classified job.
-        job: u64,
-        /// Its criticality class.
-        crit: Criticality,
-        /// Its latency SLO, ms (0 = no SLO).
-        slo_ms: u64,
-    },
-    /// A critical admission preempted a lower-criticality resident's
-    /// reservation instead of deferring (the event's `pid` is the admitted
-    /// job).
-    SchedClassPreempt {
-        /// The admitted job.
-        job: u64,
-        /// The admitted job's class.
-        crit: Criticality,
-        /// The preempted resident.
-        victim: u64,
-        /// The preempted resident's class.
-        victim_crit: Criticality,
-        /// The node the preemption happened on.
-        node: u64,
-    },
-    /// Per-job SLO accounting emitted when a job leaves the fleet (the
-    /// event's `pid` is the job index).
-    SchedClassSlo {
-        /// The finished job.
-        job: u64,
-        /// Its criticality class.
-        crit: Criticality,
-        /// Its latency SLO, ms (0 = no SLO).
-        slo_ms: u64,
-        /// Wall time from submission to completion, ms.
-        runtime_ms: u64,
-        /// Time spent stalled (deferred/queued) rather than running, ms.
-        stall_ms: u64,
-        /// Whether the SLO was met (vacuously true without one).
-        met: bool,
-    },
-    /// The monitor killed a process with criticality context: the victim's
-    /// class and the not-yet-killed candidate set it was chosen from (the
-    /// event's `pid` is the victim; one event per kill, paired with the
-    /// plain `monitor.kill`).
-    KillClass {
-        /// The victim's criticality class.
-        crit: Criticality,
-        /// The alive candidates the victim was chosen from, victim included.
-        candidates: Vec<CandidateInfo>,
-    },
-    /// A reclamation work packet entered its bucket (one drain's packets
-    /// are all enqueued before any executes; ids are drain-local).
-    PacketEnqueue {
-        /// Drain-local packet id.
-        packet: u64,
-        /// Stable packet-kind name (`"evict_blocks"`, `"gc_young"`, ...).
-        pkind: String,
-        /// The bucket the packet was placed in.
-        bucket: PacketBucket,
-        /// Ids of packets that must finish before this one may start.
-        deps: Vec<u64>,
-    },
-    /// A reclamation work packet began executing.
-    PacketStart {
-        /// Drain-local packet id.
-        packet: u64,
-        /// The packet's bucket.
-        bucket: PacketBucket,
-        /// The drain wave (execution round) the packet ran in.
-        wave: u64,
-    },
-    /// A reclamation work packet finished executing.
-    PacketFinish {
-        /// Drain-local packet id.
-        packet: u64,
-        /// The packet's bucket.
-        bucket: PacketBucket,
-        /// Bytes the packet reclaimed in its own layer (evicted or freed
-        /// inside the heap); sums to the aggregate `evict.*`/`gc.*` bytes
-        /// of the same handler window.
-        bytes: u64,
-        /// Bytes the packet returned to the OS (madvise); sums to the
-        /// window's `mem.madvise` bytes.
-        returned: u64,
-        /// Execution cost charged to the mutator, ms.
-        duration_ms: u64,
-    },
-    /// A ready bucket held a packet back because a dependency had not
-    /// finished yet (the packet waits at least one more wave).
-    PacketStall {
-        /// Drain-local packet id of the stalled packet.
-        packet: u64,
-        /// The unfinished dependency it is waiting on.
-        waiting_on: u64,
-        /// The wave that skipped it.
-        wave: u64,
-    },
-}
+/// An entry is `Variant "kind" { fields }`, or `Variant "kind"` for a unit
+/// variant. When a field picks the kind, the entry is
+/// `Variant [field: "kind0" | "kind1" | ...] { fields }` with one kind per
+/// value of that field in declaration order (`false` then `true` for a
+/// `bool`).
+macro_rules! trace_data {
+    (@pat $variant:ident $kind:literal) => {
+        TraceData::$variant { .. }
+    };
+    (@pat $variant:ident [$by:ident : $($kind:literal)|+]) => {
+        TraceData::$variant { $by, .. }
+    };
+    (@kind $kind:literal) => {
+        $kind
+    };
+    (@kind [$by:ident : $($kind:literal)|+]) => {
+        [$($kind),+][*$by as usize]
+    };
+    (@kinds $kind:literal) => {
+        $kind
+    };
+    (@kinds [$by:ident : $($kind:literal)|+]) => {
+        $($kind)|+
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum TraceData {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident $kinds:tt $({
+                    $($(#[$fmeta:meta])* $field:ident: $fty:ty,)*
+                })?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum TraceData {
+            $(
+                $(#[$vmeta])*
+                $variant $({
+                    $($(#[$fmeta])* $field: $fty,)*
+                })?,
+            )*
+        }
 
-impl TraceData {
-    /// The stable dotted kind string for this payload.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceData::ProcSpawn { .. } => "proc.spawn",
-            TraceData::ProcRespawn { .. } => "proc.respawn",
-            TraceData::ProcExit => "proc.exit",
-            TraceData::ProcKill => "proc.kill",
-            TraceData::OomKill => "oom.kill",
-            TraceData::SignalSent { sig } => match sig {
-                SigKind::Low => "signal.low",
-                SigKind::High => "signal.high",
-                SigKind::Kill => "signal.kill",
-            },
-            TraceData::SignalDropped { .. } => "signal.dropped",
-            TraceData::SignalDelayed { .. } => "signal.delayed",
-            TraceData::Madvise { .. } => "mem.madvise",
-            TraceData::MonitorPoll { .. } => "monitor.poll",
-            TraceData::ZoneChange { .. } => "monitor.zone",
-            TraceData::ThresholdAdjust { side, .. } => match side {
-                ThresholdSide::Low => "threshold.adjust.low",
-                ThresholdSide::High => "threshold.adjust.high",
-            },
-            TraceData::Selection { .. } => "monitor.select",
-            TraceData::WatchdogSkip => "watchdog.skip",
-            TraceData::WatchdogEscalate { .. } => "watchdog.escalate",
-            TraceData::WatchdogResignal { .. } => "watchdog.resignal",
-            TraceData::MonitorKill { .. } => "monitor.kill",
-            TraceData::HandlerStart { .. } => "handler.start",
-            TraceData::HandlerEnd { .. } => "handler.end",
-            TraceData::EvictBlocks { .. } => "evict.blocks",
-            TraceData::EvictSlabs { .. } => "evict.slabs",
-            TraceData::EvictClass { .. } => "evict.class",
-            TraceData::CacheStats { .. } => "cache.stats",
-            TraceData::Gc { layer, .. } => match layer {
-                GcLayer::Young => "gc.young",
-                GcLayer::Mixed => "gc.mixed",
-                GcLayer::Full => "gc.full",
-                GcLayer::Go => "gc.go",
-            },
-            TraceData::AllocGate { delayed, .. } => {
-                if *delayed {
-                    "alloc.delay"
-                } else {
-                    "alloc.admit"
+        impl TraceData {
+            /// The stable dotted kind string for this payload.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(trace_data!(@pat $variant $kinds) => trace_data!(@kind $kinds),)*
                 }
             }
-            TraceData::AllocBatch { .. } => "alloc.batch",
-            TraceData::FleetPressure { .. } => "fleet.pressure",
-            TraceData::FleetPlace { .. } => "fleet.place",
-            TraceData::FleetDefer { .. } => "fleet.defer",
-            TraceData::FleetMigrate { .. } => "fleet.migrate",
-            TraceData::FleetGiveUp { .. } => "fleet.giveup",
-            TraceData::FleetNodeLost { .. } => "fleet.node_lost",
-            TraceData::FleetReschedule { .. } => "fleet.reschedule",
-            TraceData::FleetQuarantine { .. } => "fleet.quarantine",
-            TraceData::SchedClassAssign { .. } => "sched.class.assign",
-            TraceData::SchedClassPreempt { .. } => "sched.class.preempt",
-            TraceData::SchedClassSlo { .. } => "sched.class.slo",
-            TraceData::KillClass { .. } => "kill.class",
-            TraceData::PacketEnqueue { .. } => "reclaim.packet.enqueue",
-            TraceData::PacketStart { .. } => "reclaim.packet.start",
-            TraceData::PacketFinish { .. } => "reclaim.packet.finish",
-            TraceData::PacketStall { .. } => "reclaim.packet.stall",
-        }
-    }
 
-    /// The payload's named fields, in declaration order.
-    fn fields(&self) -> Vec<(String, Content)> {
-        fn f(name: &str, v: Content) -> (String, Content) {
-            (name.to_string(), v)
+            /// The payload's named fields, in declaration order.
+            fn fields(&self) -> Vec<(String, Content)> {
+                match self {
+                    $(TraceData::$variant $({ $($field),* })? => vec![
+                        $($((stringify!($field).to_string(), $field.serialize())),*)?
+                    ],)*
+                }
+            }
         }
-        match self {
-            TraceData::ProcSpawn { name } | TraceData::ProcRespawn { name } => {
-                vec![f("name", name.serialize())]
+
+        impl Deserialize for TraceData {
+            fn deserialize(c: &Content) -> Result<Self, DeError> {
+                let kind: String = map_field(c, "kind")?;
+                let data = match kind.as_str() {
+                    $(trace_data!(@kinds $kinds) => TraceData::$variant $({
+                        $($field: map_field(c, stringify!($field))?,)*
+                    })?,)*
+                    other => return Err(DeError::new(format!("unknown trace kind `{other}`"))),
+                };
+                if data.kind() != kind {
+                    return Err(DeError::new(format!(
+                        "trace kind `{kind}` disagrees with its payload, which is `{}`",
+                        data.kind()
+                    )));
+                }
+                Ok(data)
             }
-            TraceData::ProcExit
-            | TraceData::ProcKill
-            | TraceData::OomKill
-            | TraceData::WatchdogSkip => vec![],
-            TraceData::SignalSent { sig }
-            | TraceData::SignalDropped { sig }
-            | TraceData::SignalDelayed { sig }
-            | TraceData::HandlerStart { sig } => vec![f("sig", sig.serialize())],
-            TraceData::Madvise { bytes } => vec![f("bytes", bytes.serialize())],
-            TraceData::MonitorPoll {
-                zone,
-                used,
-                low,
-                high,
-                degraded,
-                low_signalled,
-                high_signalled,
-                killed,
-            } => vec![
-                f("zone", zone.serialize()),
-                f("used", used.serialize()),
-                f("low", low.serialize()),
-                f("high", high.serialize()),
-                f("degraded", degraded.serialize()),
-                f("low_signalled", low_signalled.serialize()),
-                f("high_signalled", high_signalled.serialize()),
-                f("killed", killed.serialize()),
-            ],
-            TraceData::ZoneChange { from, to } => {
-                vec![f("from", from.serialize()), f("to", to.serialize())]
-            }
-            TraceData::ThresholdAdjust { side, old, new } => vec![
-                f("side", side.serialize()),
-                f("old", old.serialize()),
-                f("new", new.serialize()),
-            ],
-            TraceData::Selection {
-                order,
-                target,
-                all,
-                candidates,
-                selected,
-            } => vec![
-                f("order", order.serialize()),
-                f("target", target.serialize()),
-                f("all", all.serialize()),
-                f("candidates", candidates.serialize()),
-                f("selected", selected.serialize()),
-            ],
-            TraceData::WatchdogEscalate { backoff } | TraceData::WatchdogResignal { backoff } => {
-                vec![f("backoff", backoff.serialize())]
-            }
-            TraceData::MonitorKill { rss } => vec![f("rss", rss.serialize())],
-            TraceData::HandlerEnd {
-                sig,
-                duration_ms,
-                returned,
-            } => vec![
-                f("sig", sig.serialize()),
-                f("duration_ms", duration_ms.serialize()),
-                f("returned", returned.serialize()),
-            ],
-            TraceData::EvictBlocks {
-                before,
-                evicted,
-                bytes,
-                reason,
-            } => vec![
-                f("before", before.serialize()),
-                f("evicted", evicted.serialize()),
-                f("bytes", bytes.serialize()),
-                f("reason", reason.serialize()),
-            ],
-            TraceData::EvictSlabs {
-                before,
-                evicted,
-                items,
-                bytes,
-                reason,
-            } => vec![
-                f("before", before.serialize()),
-                f("evicted", evicted.serialize()),
-                f("items", items.serialize()),
-                f("bytes", bytes.serialize()),
-                f("reason", reason.serialize()),
-            ],
-            TraceData::EvictClass {
-                chunk,
-                before,
-                evicted,
-                items,
-                bytes,
-                reason,
-            } => vec![
-                f("chunk", chunk.serialize()),
-                f("before", before.serialize()),
-                f("evicted", evicted.serialize()),
-                f("items", items.serialize()),
-                f("bytes", bytes.serialize()),
-                f("reason", reason.serialize()),
-            ],
-            TraceData::CacheStats {
-                requests,
-                hits,
-                misses,
-                negative,
-                sets,
-                deletes,
-                delayed,
-                capacity_items,
-                resident_bytes,
-                live_items,
-                serve_ms,
-            } => vec![
-                f("requests", requests.serialize()),
-                f("hits", hits.serialize()),
-                f("misses", misses.serialize()),
-                f("negative", negative.serialize()),
-                f("sets", sets.serialize()),
-                f("deletes", deletes.serialize()),
-                f("delayed", delayed.serialize()),
-                f("capacity_items", capacity_items.serialize()),
-                f("resident_bytes", resident_bytes.serialize()),
-                f("live_items", live_items.serialize()),
-                f("serve_ms", serve_ms.serialize()),
-            ],
-            TraceData::Gc {
-                layer,
-                reclaimed,
-                returned,
-                pause_ms,
-            } => vec![
-                f("layer", layer.serialize()),
-                f("reclaimed", reclaimed.serialize()),
-                f("returned", returned.serialize()),
-                f("pause_ms", pause_ms.serialize()),
-            ],
-            TraceData::AllocGate {
-                delayed,
-                rate,
-                elapsed_ms,
-                epoch_ms,
-                num_epochs,
-                curve,
-            } => vec![
-                f("delayed", delayed.serialize()),
-                f("rate", rate.serialize()),
-                f("elapsed_ms", elapsed_ms.serialize()),
-                f("epoch_ms", epoch_ms.serialize()),
-                f("num_epochs", num_epochs.serialize()),
-                f("curve", curve.serialize()),
-            ],
-            TraceData::AllocBatch {
-                n,
-                delayed,
-                rate,
-                elapsed_ms,
-                epoch_ms,
-                num_epochs,
-                curve,
-            } => vec![
-                f("n", n.serialize()),
-                f("delayed", delayed.serialize()),
-                f("rate", rate.serialize()),
-                f("elapsed_ms", elapsed_ms.serialize()),
-                f("epoch_ms", epoch_ms.serialize()),
-                f("num_epochs", num_epochs.serialize()),
-                f("curve", curve.serialize()),
-            ],
-            TraceData::FleetPressure {
-                node,
-                zone,
-                used,
-                reserved,
-                high,
-                top,
-                escalations,
-            } => vec![
-                f("node", node.serialize()),
-                f("zone", zone.serialize()),
-                f("used", used.serialize()),
-                f("reserved", reserved.serialize()),
-                f("high", high.serialize()),
-                f("top", top.serialize()),
-                f("escalations", escalations.serialize()),
-            ],
-            TraceData::FleetPlace {
-                job,
-                node,
-                used,
-                demand,
-                top,
-            } => vec![
-                f("job", job.serialize()),
-                f("node", node.serialize()),
-                f("used", used.serialize()),
-                f("demand", demand.serialize()),
-                f("top", top.serialize()),
-            ],
-            TraceData::FleetDefer {
-                job,
-                attempt,
-                retry_at_ms,
-            } => vec![
-                f("job", job.serialize()),
-                f("attempt", attempt.serialize()),
-                f("retry_at_ms", retry_at_ms.serialize()),
-            ],
-            TraceData::FleetMigrate {
-                job,
-                from,
-                to,
-                red_for_ms,
-            } => vec![
-                f("job", job.serialize()),
-                f("from", from.serialize()),
-                f("to", to.serialize()),
-                f("red_for_ms", red_for_ms.serialize()),
-            ],
-            TraceData::FleetGiveUp {
-                job,
-                attempts,
-                demand,
-            } => vec![
-                f("job", job.serialize()),
-                f("attempts", attempts.serialize()),
-                f("demand", demand.serialize()),
-            ],
-            TraceData::FleetNodeLost { node, jobs_lost } => vec![
-                f("node", node.serialize()),
-                f("jobs_lost", jobs_lost.serialize()),
-            ],
-            TraceData::FleetReschedule {
-                job,
-                from,
-                retries,
-                retry_at_ms,
-                requeued,
-            } => vec![
-                f("job", job.serialize()),
-                f("from", from.serialize()),
-                f("retries", retries.serialize()),
-                f("retry_at_ms", retry_at_ms.serialize()),
-                f("requeued", requeued.serialize()),
-            ],
-            TraceData::FleetQuarantine {
-                node,
-                entered,
-                streak,
-            } => vec![
-                f("node", node.serialize()),
-                f("entered", entered.serialize()),
-                f("streak", streak.serialize()),
-            ],
-            TraceData::SchedClassAssign { job, crit, slo_ms } => vec![
-                f("job", job.serialize()),
-                f("crit", crit.serialize()),
-                f("slo_ms", slo_ms.serialize()),
-            ],
-            TraceData::SchedClassPreempt {
-                job,
-                crit,
-                victim,
-                victim_crit,
-                node,
-            } => vec![
-                f("job", job.serialize()),
-                f("crit", crit.serialize()),
-                f("victim", victim.serialize()),
-                f("victim_crit", victim_crit.serialize()),
-                f("node", node.serialize()),
-            ],
-            TraceData::SchedClassSlo {
-                job,
-                crit,
-                slo_ms,
-                runtime_ms,
-                stall_ms,
-                met,
-            } => vec![
-                f("job", job.serialize()),
-                f("crit", crit.serialize()),
-                f("slo_ms", slo_ms.serialize()),
-                f("runtime_ms", runtime_ms.serialize()),
-                f("stall_ms", stall_ms.serialize()),
-                f("met", met.serialize()),
-            ],
-            TraceData::KillClass { crit, candidates } => vec![
-                f("crit", crit.serialize()),
-                f("candidates", candidates.serialize()),
-            ],
-            TraceData::PacketEnqueue {
-                packet,
-                pkind,
-                bucket,
-                deps,
-            } => vec![
-                f("packet", packet.serialize()),
-                f("pkind", pkind.serialize()),
-                f("bucket", bucket.serialize()),
-                f("deps", deps.serialize()),
-            ],
-            TraceData::PacketStart {
-                packet,
-                bucket,
-                wave,
-            } => vec![
-                f("packet", packet.serialize()),
-                f("bucket", bucket.serialize()),
-                f("wave", wave.serialize()),
-            ],
-            TraceData::PacketFinish {
-                packet,
-                bucket,
-                bytes,
-                returned,
-                duration_ms,
-            } => vec![
-                f("packet", packet.serialize()),
-                f("bucket", bucket.serialize()),
-                f("bytes", bytes.serialize()),
-                f("returned", returned.serialize()),
-                f("duration_ms", duration_ms.serialize()),
-            ],
-            TraceData::PacketStall {
-                packet,
-                waiting_on,
-                wave,
-            } => vec![
-                f("packet", packet.serialize()),
-                f("waiting_on", waiting_on.serialize()),
-                f("wave", wave.serialize()),
-            ],
         }
+    };
+}
+
+trace_data! {
+    /// The typed payload of one traced event.
+    ///
+    /// Each variant serializes as a flat map whose `"kind"` entry is the stable
+    /// dotted string returned by [`TraceData::kind`]; signal, threshold, GC and
+    /// allocation-gate variants encode their discriminating sub-field in the
+    /// kind itself (`"signal.high"`, `"gc.young"`, `"alloc.delay"`, ...).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceData {
+        /// A process was spawned.
+        ProcSpawn "proc.spawn" {
+            /// Display name of the process.
+            name: String,
+        },
+        /// A process was respawned reusing an existing pid.
+        ProcRespawn "proc.respawn" {
+            /// Display name of the process.
+            name: String,
+        },
+        /// A process exited normally.
+        ProcExit "proc.exit",
+        /// A process was killed.
+        ProcKill "proc.kill",
+        /// The kernel OOM killer chose this victim.
+        OomKill "oom.kill",
+        /// A threshold/kill signal was delivered to the process.
+        SignalSent [sig: "signal.low" | "signal.high" | "signal.kill"] {
+            /// Which signal.
+            sig: SigKind,
+        },
+        /// A signal was dropped by a faulty bus.
+        SignalDropped "signal.dropped" {
+            /// Which signal.
+            sig: SigKind,
+        },
+        /// A signal was delayed by a laggy bus.
+        SignalDelayed "signal.delayed" {
+            /// Which signal.
+            sig: SigKind,
+        },
+        /// Memory was returned to the OS (`madvise(MADV_FREE)`-equivalent).
+        Madvise "mem.madvise" {
+            /// Bytes actually released.
+            bytes: u64,
+        },
+        /// One monitor poll completed (§5): the zone it classified, the
+        /// thresholds in force, and every pid it signalled or killed this poll.
+        MonitorPoll "monitor.poll" {
+            /// The zone the poll classified usage into.
+            zone: TraceZone,
+            /// Memory usage observed, bytes.
+            used: u64,
+            /// Low threshold after this poll's adjustment, bytes.
+            low: u64,
+            /// High threshold after this poll's adjustment, bytes.
+            high: u64,
+            /// True when the poll ran on stale/degraded meminfo.
+            degraded: bool,
+            /// Pids sent a low signal this poll, in send order.
+            low_signalled: Vec<u64>,
+            /// Pids sent a high signal this poll, in send order.
+            high_signalled: Vec<u64>,
+            /// Pids killed this poll, in kill order.
+            killed: Vec<u64>,
+        },
+        /// The monitor's zone changed between polls.
+        ZoneChange "monitor.zone" {
+            /// Previous zone.
+            from: TraceZone,
+            /// New zone.
+            to: TraceZone,
+        },
+        /// An adaptive threshold moved (§5.2).
+        ThresholdAdjust [side: "threshold.adjust.low" | "threshold.adjust.high"] {
+            /// Which threshold moved.
+            side: ThresholdSide,
+            /// Value before, bytes.
+            old: u64,
+            /// Value after, bytes.
+            new: u64,
+        },
+        /// Algorithm 1 ran (§5.1).
+        Selection "monitor.select" {
+            /// The sort order used.
+            order: String,
+            /// Reclamation target, bytes.
+            target: u64,
+            /// True for the above-top signal-everyone escalation.
+            all: bool,
+            /// The unsorted candidate set the algorithm saw.
+            candidates: Vec<CandidateInfo>,
+            /// The selected pids, in signalling order.
+            selected: Vec<u64>,
+        },
+        /// The watchdog suppressed a high signal during backoff cooldown (§6).
+        WatchdogSkip "watchdog.skip",
+        /// The watchdog escalated an unresponsive process into backoff.
+        WatchdogEscalate "watchdog.escalate" {
+            /// The new backoff length, polls.
+            backoff: u64,
+        },
+        /// The watchdog re-signalled after a full cooldown.
+        WatchdogResignal "watchdog.resignal" {
+            /// The backoff length that just elapsed, polls.
+            backoff: u64,
+        },
+        /// The monitor killed a process to get back under top (§6).
+        MonitorKill "monitor.kill" {
+            /// The victim's RSS at kill time, bytes.
+            rss: u64,
+        },
+        /// An application signal handler started.
+        HandlerStart "handler.start" {
+            /// Which signal it is handling.
+            sig: SigKind,
+        },
+        /// An application signal handler finished.
+        HandlerEnd "handler.end" {
+            /// Which signal it handled.
+            sig: SigKind,
+            /// Handler wall time (the §4.2 epoch length), ms.
+            duration_ms: u64,
+            /// Bytes the whole stack returned to the OS.
+            returned: u64,
+        },
+        /// A framework-layer block-cache eviction (Spark, Table 1).
+        EvictBlocks "evict.blocks" {
+            /// Cached blocks before eviction.
+            before: u64,
+            /// Blocks evicted.
+            evicted: u64,
+            /// Bytes freed (marked dead in the layer below).
+            bytes: u64,
+            /// Why the eviction ran.
+            reason: EvictReason,
+        },
+        /// A cache-layer slab eviction (Go-Cache/Memcached, Table 1).
+        EvictSlabs "evict.slabs" {
+            /// Resident slabs before eviction.
+            before: u64,
+            /// Slabs evicted.
+            evicted: u64,
+            /// Items evicted.
+            items: u64,
+            /// Bytes freed (marked dead in the layer below).
+            bytes: u64,
+            /// Why the eviction ran.
+            reason: EvictReason,
+        },
+        /// Per-slab-class detail of a signal-driven cache eviction; a group of
+        /// these immediately precedes the aggregate [`TraceData::EvictSlabs`]
+        /// they sum to (key-granular runs only).
+        EvictClass "evict.class" {
+            /// Chunk size of the slab class, bytes.
+            chunk: u64,
+            /// Slabs the class held before eviction.
+            before: u64,
+            /// Slabs evicted from the class.
+            evicted: u64,
+            /// Live items removed with them.
+            items: u64,
+            /// Bytes freed (whole slabs).
+            bytes: u64,
+            /// Why the eviction ran.
+            reason: EvictReason,
+        },
+        /// Cumulative key-granular cache statistics (trace workloads): emitted
+        /// periodically during the measured phase and once at completion.
+        CacheStats "cache.stats" {
+            /// Requests completed.
+            requests: u64,
+            /// GET hits.
+            hits: u64,
+            /// GET misses (including negative lookups).
+            misses: u64,
+            /// Negative lookups among the misses.
+            negative: u64,
+            /// SETs applied.
+            sets: u64,
+            /// DELETEs applied.
+            deletes: u64,
+            /// Inserts delayed by the adaptive protocol.
+            delayed: u64,
+            /// Items evicted by capacity pressure.
+            capacity_items: u64,
+            /// Resident bytes (whole slabs).
+            resident_bytes: u64,
+            /// Live items.
+            live_items: u64,
+            /// Simulated milliseconds since the measured phase began.
+            serve_ms: u64,
+        },
+        /// A runtime-layer collection ran.
+        Gc [layer: "gc.young" | "gc.mixed" | "gc.full" | "gc.go"] {
+            /// Which collection.
+            layer: GcLayer,
+            /// Bytes freed inside the heap.
+            reclaimed: u64,
+            /// Bytes returned to the OS by this collection.
+            returned: u64,
+            /// Stop-the-world pause charged to the mutator, ms.
+            pause_ms: u64,
+        },
+        /// One adaptive-allocation gate decision (§4.2, per-allocation form).
+        AllocGate [delayed: "alloc.admit" | "alloc.delay"] {
+            /// True if this allocation was delayed (evict first).
+            delayed: bool,
+            /// The allow rate at decision time.
+            rate: f64,
+            /// Time since the last high signal, ms.
+            elapsed_ms: u64,
+            /// Epoch length (time handling the last high signal), ms.
+            epoch_ms: u64,
+            /// `NUM_epochs` of the protocol instance.
+            num_epochs: u32,
+            /// Recovery curve name (`"Linear"`, `"Exponential"`, `"Step"`).
+            curve: String,
+        },
+        /// One adaptive-allocation batched gate decision (§4.2, batched form).
+        AllocBatch "alloc.batch" {
+            /// Allocation attempts in the batch.
+            n: u64,
+            /// How many of them were delayed.
+            delayed: u64,
+            /// The allow rate at decision time.
+            rate: f64,
+            /// Time since the last high signal, ms.
+            elapsed_ms: u64,
+            /// Epoch length, ms.
+            epoch_ms: u64,
+            /// `NUM_epochs` of the protocol instance.
+            num_epochs: u32,
+            /// Recovery curve name.
+            curve: String,
+        },
+        /// The fleet scheduler probed one node's live pressure summary (the
+        /// event's `pid` is the node index).
+        FleetPressure "fleet.pressure" {
+            /// The probed node.
+            node: u64,
+            /// The node's zone at probe time.
+            zone: TraceZone,
+            /// Committed bytes observed on the node.
+            used: u64,
+            /// Summed demand estimates of the node's assigned unfinished jobs
+            /// (what admission ranks against when it exceeds `used`).
+            reserved: u64,
+            /// The node's high threshold at probe time.
+            high: u64,
+            /// The node's top of memory.
+            top: u64,
+            /// Watchdog escalations accumulated on the node so far.
+            escalations: u64,
+        },
+        /// The fleet scheduler admitted a job and placed it onto a node (the
+        /// event's `pid` is the job index).
+        FleetPlace "fleet.place" {
+            /// The placed job (scenario schedule index).
+            job: u64,
+            /// The target node.
+            node: u64,
+            /// The node's committed bytes at admission time.
+            used: u64,
+            /// The job's estimated peak demand, bytes.
+            demand: u64,
+            /// The target node's top of memory.
+            top: u64,
+        },
+        /// Admission control found no feasible node and deferred the job.
+        FleetDefer "fleet.defer" {
+            /// The deferred job.
+            job: u64,
+            /// How many admission attempts the job has made so far.
+            attempt: u64,
+            /// When the job will retry, ms.
+            retry_at_ms: u64,
+        },
+        /// Red-zone rebalancing migrated a job off a node armed beyond the
+        /// grace window.
+        FleetMigrate "fleet.migrate" {
+            /// The migrated job.
+            job: u64,
+            /// The armed source node.
+            from: u64,
+            /// The target node.
+            to: u64,
+            /// How long the source had been observed red, ms.
+            red_for_ms: u64,
+        },
+        /// A job exhausted its deferral budget and was reported unplaceable.
+        FleetGiveUp "fleet.giveup" {
+            /// The rejected job.
+            job: u64,
+            /// Admission attempts made before giving up.
+            attempts: u64,
+            /// The job's estimated peak demand, bytes (lets the oracle check no
+            /// probed node could in fact have admitted the job).
+            demand: u64,
+        },
+        /// A whole node crashed; every job resident on it died mid-run (the
+        /// event's `pid` is the node index).
+        FleetNodeLost "fleet.node_lost" {
+            /// The dead node.
+            node: u64,
+            /// Jobs that were alive on the node when it died.
+            jobs_lost: u64,
+        },
+        /// A job lost to node death was re-queued for placement (`requeued`)
+        /// or found its retry budget exhausted (the event's `pid` is the job).
+        FleetReschedule "fleet.reschedule" {
+            /// The lost job.
+            job: u64,
+            /// The node that died under it.
+            from: u64,
+            /// Node-loss incidents this job has now survived.
+            retries: u64,
+            /// When the job re-enters the arrival queue, ms (0 when not
+            /// requeued).
+            retry_at_ms: u64,
+            /// True if the job re-enters the queue; false if the retry budget
+            /// is exhausted and a give-up record follows.
+            requeued: bool,
+        },
+        /// A node's probe endpoint health changed its quarantine state (the
+        /// event's `pid` is the node index).
+        FleetQuarantine "fleet.quarantine" {
+            /// The node entering or leaving quarantine.
+            node: u64,
+            /// True on quarantine entry, false on re-admission.
+            entered: bool,
+            /// The probe streak that triggered the transition: consecutive
+            /// failures on entry, consecutive healthy probes on exit.
+            streak: u64,
+        },
+        /// The fleet scheduler recorded a job's criticality class and latency
+        /// SLO at submission time (the event's `pid` is the job index).
+        SchedClassAssign "sched.class.assign" {
+            /// The classified job.
+            job: u64,
+            /// Its criticality class.
+            crit: Criticality,
+            /// Its latency SLO, ms (0 = no SLO).
+            slo_ms: u64,
+        },
+        /// A critical admission preempted a lower-criticality resident's
+        /// reservation instead of deferring (the event's `pid` is the admitted
+        /// job).
+        SchedClassPreempt "sched.class.preempt" {
+            /// The admitted job.
+            job: u64,
+            /// The admitted job's class.
+            crit: Criticality,
+            /// The preempted resident.
+            victim: u64,
+            /// The preempted resident's class.
+            victim_crit: Criticality,
+            /// The node the preemption happened on.
+            node: u64,
+        },
+        /// Per-job SLO accounting emitted when a job leaves the fleet (the
+        /// event's `pid` is the job index).
+        SchedClassSlo "sched.class.slo" {
+            /// The finished job.
+            job: u64,
+            /// Its criticality class.
+            crit: Criticality,
+            /// Its latency SLO, ms (0 = no SLO).
+            slo_ms: u64,
+            /// Wall time from submission to completion, ms.
+            runtime_ms: u64,
+            /// Time spent stalled (deferred/queued) rather than running, ms.
+            stall_ms: u64,
+            /// Whether the SLO was met (vacuously true without one).
+            met: bool,
+        },
+        /// The monitor killed a process with criticality context: the victim's
+        /// class and the not-yet-killed candidate set it was chosen from (the
+        /// event's `pid` is the victim; one event per kill, paired with the
+        /// plain `monitor.kill`).
+        KillClass "kill.class" {
+            /// The victim's criticality class.
+            crit: Criticality,
+            /// The alive candidates the victim was chosen from, victim included.
+            candidates: Vec<CandidateInfo>,
+        },
+        /// A reclamation work packet entered its bucket (one drain's packets
+        /// are all enqueued before any executes; ids are drain-local).
+        PacketEnqueue "reclaim.packet.enqueue" {
+            /// Drain-local packet id.
+            packet: u64,
+            /// Stable packet-kind name (`"evict_blocks"`, `"gc_young"`, ...).
+            pkind: String,
+            /// The bucket the packet was placed in.
+            bucket: PacketBucket,
+            /// Ids of packets that must finish before this one may start.
+            deps: Vec<u64>,
+        },
+        /// A reclamation work packet began executing.
+        PacketStart "reclaim.packet.start" {
+            /// Drain-local packet id.
+            packet: u64,
+            /// The packet's bucket.
+            bucket: PacketBucket,
+            /// The drain wave (execution round) the packet ran in.
+            wave: u64,
+        },
+        /// A reclamation work packet finished executing.
+        PacketFinish "reclaim.packet.finish" {
+            /// Drain-local packet id.
+            packet: u64,
+            /// The packet's bucket.
+            bucket: PacketBucket,
+            /// Bytes the packet reclaimed in its own layer (evicted or freed
+            /// inside the heap); sums to the aggregate `evict.*`/`gc.*` bytes
+            /// of the same handler window.
+            bytes: u64,
+            /// Bytes the packet returned to the OS (madvise); sums to the
+            /// window's `mem.madvise` bytes.
+            returned: u64,
+            /// Execution cost charged to the mutator, ms.
+            duration_ms: u64,
+        },
+        /// A ready bucket held a packet back because a dependency had not
+        /// finished yet (the packet waits at least one more wave).
+        PacketStall "reclaim.packet.stall" {
+            /// Drain-local packet id of the stalled packet.
+            packet: u64,
+            /// The unfinished dependency it is waiting on.
+            waiting_on: u64,
+            /// The wave that skipped it.
+            wave: u64,
+        },
     }
 }
 
@@ -1037,233 +722,6 @@ impl Serialize for TraceData {
         let mut m = vec![("kind".to_string(), Content::Str(self.kind().to_string()))];
         m.extend(self.fields());
         Content::Map(m)
-    }
-}
-
-impl Deserialize for TraceData {
-    fn deserialize(c: &Content) -> Result<Self, DeError> {
-        let kind: String = map_field(c, "kind")?;
-        let data = match kind.as_str() {
-            "proc.spawn" => TraceData::ProcSpawn {
-                name: map_field(c, "name")?,
-            },
-            "proc.respawn" => TraceData::ProcRespawn {
-                name: map_field(c, "name")?,
-            },
-            "proc.exit" => TraceData::ProcExit,
-            "proc.kill" => TraceData::ProcKill,
-            "oom.kill" => TraceData::OomKill,
-            "signal.low" | "signal.high" | "signal.kill" => TraceData::SignalSent {
-                sig: map_field(c, "sig")?,
-            },
-            "signal.dropped" => TraceData::SignalDropped {
-                sig: map_field(c, "sig")?,
-            },
-            "signal.delayed" => TraceData::SignalDelayed {
-                sig: map_field(c, "sig")?,
-            },
-            "mem.madvise" => TraceData::Madvise {
-                bytes: map_field(c, "bytes")?,
-            },
-            "monitor.poll" => TraceData::MonitorPoll {
-                zone: map_field(c, "zone")?,
-                used: map_field(c, "used")?,
-                low: map_field(c, "low")?,
-                high: map_field(c, "high")?,
-                degraded: map_field(c, "degraded")?,
-                low_signalled: map_field(c, "low_signalled")?,
-                high_signalled: map_field(c, "high_signalled")?,
-                killed: map_field(c, "killed")?,
-            },
-            "monitor.zone" => TraceData::ZoneChange {
-                from: map_field(c, "from")?,
-                to: map_field(c, "to")?,
-            },
-            "threshold.adjust.low" | "threshold.adjust.high" => TraceData::ThresholdAdjust {
-                side: map_field(c, "side")?,
-                old: map_field(c, "old")?,
-                new: map_field(c, "new")?,
-            },
-            "monitor.select" => TraceData::Selection {
-                order: map_field(c, "order")?,
-                target: map_field(c, "target")?,
-                all: map_field(c, "all")?,
-                candidates: map_field(c, "candidates")?,
-                selected: map_field(c, "selected")?,
-            },
-            "watchdog.skip" => TraceData::WatchdogSkip,
-            "watchdog.escalate" => TraceData::WatchdogEscalate {
-                backoff: map_field(c, "backoff")?,
-            },
-            "watchdog.resignal" => TraceData::WatchdogResignal {
-                backoff: map_field(c, "backoff")?,
-            },
-            "monitor.kill" => TraceData::MonitorKill {
-                rss: map_field(c, "rss")?,
-            },
-            "handler.start" => TraceData::HandlerStart {
-                sig: map_field(c, "sig")?,
-            },
-            "handler.end" => TraceData::HandlerEnd {
-                sig: map_field(c, "sig")?,
-                duration_ms: map_field(c, "duration_ms")?,
-                returned: map_field(c, "returned")?,
-            },
-            "evict.blocks" => TraceData::EvictBlocks {
-                before: map_field(c, "before")?,
-                evicted: map_field(c, "evicted")?,
-                bytes: map_field(c, "bytes")?,
-                reason: map_field(c, "reason")?,
-            },
-            "evict.slabs" => TraceData::EvictSlabs {
-                before: map_field(c, "before")?,
-                evicted: map_field(c, "evicted")?,
-                items: map_field(c, "items")?,
-                bytes: map_field(c, "bytes")?,
-                reason: map_field(c, "reason")?,
-            },
-            "evict.class" => TraceData::EvictClass {
-                chunk: map_field(c, "chunk")?,
-                before: map_field(c, "before")?,
-                evicted: map_field(c, "evicted")?,
-                items: map_field(c, "items")?,
-                bytes: map_field(c, "bytes")?,
-                reason: map_field(c, "reason")?,
-            },
-            "cache.stats" => TraceData::CacheStats {
-                requests: map_field(c, "requests")?,
-                hits: map_field(c, "hits")?,
-                misses: map_field(c, "misses")?,
-                negative: map_field(c, "negative")?,
-                sets: map_field(c, "sets")?,
-                deletes: map_field(c, "deletes")?,
-                delayed: map_field(c, "delayed")?,
-                capacity_items: map_field(c, "capacity_items")?,
-                resident_bytes: map_field(c, "resident_bytes")?,
-                live_items: map_field(c, "live_items")?,
-                serve_ms: map_field(c, "serve_ms")?,
-            },
-            "gc.young" | "gc.mixed" | "gc.full" | "gc.go" => TraceData::Gc {
-                layer: map_field(c, "layer")?,
-                reclaimed: map_field(c, "reclaimed")?,
-                returned: map_field(c, "returned")?,
-                pause_ms: map_field(c, "pause_ms")?,
-            },
-            "alloc.delay" | "alloc.admit" => TraceData::AllocGate {
-                delayed: map_field(c, "delayed")?,
-                rate: map_field(c, "rate")?,
-                elapsed_ms: map_field(c, "elapsed_ms")?,
-                epoch_ms: map_field(c, "epoch_ms")?,
-                num_epochs: map_field(c, "num_epochs")?,
-                curve: map_field(c, "curve")?,
-            },
-            "alloc.batch" => TraceData::AllocBatch {
-                n: map_field(c, "n")?,
-                delayed: map_field(c, "delayed")?,
-                rate: map_field(c, "rate")?,
-                elapsed_ms: map_field(c, "elapsed_ms")?,
-                epoch_ms: map_field(c, "epoch_ms")?,
-                num_epochs: map_field(c, "num_epochs")?,
-                curve: map_field(c, "curve")?,
-            },
-            "fleet.pressure" => TraceData::FleetPressure {
-                node: map_field(c, "node")?,
-                zone: map_field(c, "zone")?,
-                used: map_field(c, "used")?,
-                reserved: map_field(c, "reserved")?,
-                high: map_field(c, "high")?,
-                top: map_field(c, "top")?,
-                escalations: map_field(c, "escalations")?,
-            },
-            "fleet.place" => TraceData::FleetPlace {
-                job: map_field(c, "job")?,
-                node: map_field(c, "node")?,
-                used: map_field(c, "used")?,
-                demand: map_field(c, "demand")?,
-                top: map_field(c, "top")?,
-            },
-            "fleet.defer" => TraceData::FleetDefer {
-                job: map_field(c, "job")?,
-                attempt: map_field(c, "attempt")?,
-                retry_at_ms: map_field(c, "retry_at_ms")?,
-            },
-            "fleet.migrate" => TraceData::FleetMigrate {
-                job: map_field(c, "job")?,
-                from: map_field(c, "from")?,
-                to: map_field(c, "to")?,
-                red_for_ms: map_field(c, "red_for_ms")?,
-            },
-            "fleet.giveup" => TraceData::FleetGiveUp {
-                job: map_field(c, "job")?,
-                attempts: map_field(c, "attempts")?,
-                demand: map_field(c, "demand")?,
-            },
-            "fleet.node_lost" => TraceData::FleetNodeLost {
-                node: map_field(c, "node")?,
-                jobs_lost: map_field(c, "jobs_lost")?,
-            },
-            "fleet.reschedule" => TraceData::FleetReschedule {
-                job: map_field(c, "job")?,
-                from: map_field(c, "from")?,
-                retries: map_field(c, "retries")?,
-                retry_at_ms: map_field(c, "retry_at_ms")?,
-                requeued: map_field(c, "requeued")?,
-            },
-            "fleet.quarantine" => TraceData::FleetQuarantine {
-                node: map_field(c, "node")?,
-                entered: map_field(c, "entered")?,
-                streak: map_field(c, "streak")?,
-            },
-            "sched.class.assign" => TraceData::SchedClassAssign {
-                job: map_field(c, "job")?,
-                crit: map_field(c, "crit")?,
-                slo_ms: map_field(c, "slo_ms")?,
-            },
-            "sched.class.preempt" => TraceData::SchedClassPreempt {
-                job: map_field(c, "job")?,
-                crit: map_field(c, "crit")?,
-                victim: map_field(c, "victim")?,
-                victim_crit: map_field(c, "victim_crit")?,
-                node: map_field(c, "node")?,
-            },
-            "sched.class.slo" => TraceData::SchedClassSlo {
-                job: map_field(c, "job")?,
-                crit: map_field(c, "crit")?,
-                slo_ms: map_field(c, "slo_ms")?,
-                runtime_ms: map_field(c, "runtime_ms")?,
-                stall_ms: map_field(c, "stall_ms")?,
-                met: map_field(c, "met")?,
-            },
-            "kill.class" => TraceData::KillClass {
-                crit: map_field(c, "crit")?,
-                candidates: map_field(c, "candidates")?,
-            },
-            "reclaim.packet.enqueue" => TraceData::PacketEnqueue {
-                packet: map_field(c, "packet")?,
-                pkind: map_field(c, "pkind")?,
-                bucket: map_field(c, "bucket")?,
-                deps: map_field(c, "deps")?,
-            },
-            "reclaim.packet.start" => TraceData::PacketStart {
-                packet: map_field(c, "packet")?,
-                bucket: map_field(c, "bucket")?,
-                wave: map_field(c, "wave")?,
-            },
-            "reclaim.packet.finish" => TraceData::PacketFinish {
-                packet: map_field(c, "packet")?,
-                bucket: map_field(c, "bucket")?,
-                bytes: map_field(c, "bytes")?,
-                returned: map_field(c, "returned")?,
-                duration_ms: map_field(c, "duration_ms")?,
-            },
-            "reclaim.packet.stall" => TraceData::PacketStall {
-                packet: map_field(c, "packet")?,
-                waiting_on: map_field(c, "waiting_on")?,
-                wave: map_field(c, "wave")?,
-            },
-            other => return Err(DeError::new(format!("unknown trace kind `{other}`"))),
-        };
-        Ok(data)
     }
 }
 
@@ -1496,22 +954,132 @@ mod tests {
         assert_eq!(log.len(), 1);
     }
 
+    fn gate(delayed: bool) -> TraceData {
+        TraceData::AllocGate {
+            delayed,
+            rate: 0.5,
+            elapsed_ms: 1,
+            epoch_ms: 2,
+            num_epochs: 1,
+            curve: "Linear".into(),
+        }
+    }
+
     #[test]
-    fn kind_strings_are_stable() {
-        let cases: Vec<(TraceData, &str)> = vec![
-            (TraceData::ProcSpawn { name: "x".into() }, "proc.spawn"),
-            (TraceData::SignalSent { sig: SigKind::Low }, "signal.low"),
-            (TraceData::SignalSent { sig: SigKind::Kill }, "signal.kill"),
-            (TraceData::Madvise { bytes: 1 }, "mem.madvise"),
+    fn every_kind_string_is_stable_and_round_trips() {
+        let cases: Vec<(&str, TraceData)> = vec![
+            ("proc.spawn", TraceData::ProcSpawn { name: "x".into() }),
+            ("proc.respawn", TraceData::ProcRespawn { name: "x".into() }),
+            ("proc.exit", TraceData::ProcExit),
+            ("proc.kill", TraceData::ProcKill),
+            ("oom.kill", TraceData::OomKill),
+            ("signal.low", TraceData::SignalSent { sig: SigKind::Low }),
+            ("signal.high", TraceData::SignalSent { sig: SigKind::High }),
+            ("signal.kill", TraceData::SignalSent { sig: SigKind::Kill }),
             (
+                "signal.dropped",
+                TraceData::SignalDropped { sig: SigKind::High },
+            ),
+            (
+                "signal.delayed",
+                TraceData::SignalDelayed { sig: SigKind::Low },
+            ),
+            ("mem.madvise", TraceData::Madvise { bytes: 1 }),
+            (
+                "monitor.poll",
+                TraceData::MonitorPoll {
+                    zone: TraceZone::Red,
+                    used: 100,
+                    low: 50,
+                    high: 80,
+                    degraded: false,
+                    low_signalled: vec![],
+                    high_signalled: vec![3, 4],
+                    killed: vec![],
+                },
+            ),
+            (
+                "monitor.zone",
+                TraceData::ZoneChange {
+                    from: TraceZone::Green,
+                    to: TraceZone::AboveTop,
+                },
+            ),
+            (
+                "threshold.adjust.low",
+                TraceData::ThresholdAdjust {
+                    side: ThresholdSide::Low,
+                    old: 2,
+                    new: 1,
+                },
+            ),
+            (
+                "threshold.adjust.high",
                 TraceData::ThresholdAdjust {
                     side: ThresholdSide::High,
                     old: 1,
                     new: 2,
                 },
-                "threshold.adjust.high",
             ),
             (
+                "monitor.select",
+                TraceData::Selection {
+                    order: "NewestFirst".into(),
+                    target: 20,
+                    all: false,
+                    candidates: vec![CandidateInfo {
+                        pid: 3,
+                        spawned_at_ms: 0,
+                        rss: 100,
+                        expected_reclaim: 25,
+                        crit: Criticality::Standard,
+                    }],
+                    selected: vec![3],
+                },
+            ),
+            ("watchdog.skip", TraceData::WatchdogSkip),
+            (
+                "watchdog.escalate",
+                TraceData::WatchdogEscalate { backoff: 2 },
+            ),
+            (
+                "watchdog.resignal",
+                TraceData::WatchdogResignal { backoff: 4 },
+            ),
+            ("monitor.kill", TraceData::MonitorKill { rss: 1 << 30 }),
+            (
+                "handler.start",
+                TraceData::HandlerStart { sig: SigKind::High },
+            ),
+            (
+                "handler.end",
+                TraceData::HandlerEnd {
+                    sig: SigKind::Low,
+                    duration_ms: 40,
+                    returned: 1 << 20,
+                },
+            ),
+            (
+                "evict.blocks",
+                TraceData::EvictBlocks {
+                    before: 8,
+                    evicted: 1,
+                    bytes: 100,
+                    reason: EvictReason::HighSignal,
+                },
+            ),
+            (
+                "evict.slabs",
+                TraceData::EvictSlabs {
+                    before: 10,
+                    evicted: 2,
+                    items: 30,
+                    bytes: 2 << 20,
+                    reason: EvictReason::AdmissionDelay,
+                },
+            ),
+            (
+                "evict.class",
                 TraceData::EvictClass {
                     chunk: 1024,
                     before: 10,
@@ -1520,9 +1088,9 @@ mod tests {
                     bytes: 1 << 20,
                     reason: EvictReason::LowSignal,
                 },
-                "evict.class",
             ),
             (
+                "cache.stats",
                 TraceData::CacheStats {
                     requests: 100,
                     hits: 90,
@@ -1536,21 +1104,27 @@ mod tests {
                     live_items: 42,
                     serve_ms: 1000,
                 },
-                "cache.stats",
             ),
-            (gc(GcLayer::Full, 0), "gc.full"),
+            ("gc.young", gc(GcLayer::Young, 5)),
+            ("gc.mixed", gc(GcLayer::Mixed, 9)),
+            ("gc.full", gc(GcLayer::Full, 0)),
+            ("gc.go", gc(GcLayer::Go, 7)),
+            ("alloc.admit", gate(false)),
+            ("alloc.delay", gate(true)),
             (
-                TraceData::AllocGate {
-                    delayed: true,
-                    rate: 0.5,
-                    elapsed_ms: 1,
-                    epoch_ms: 2,
+                "alloc.batch",
+                TraceData::AllocBatch {
+                    n: 10,
+                    delayed: 4,
+                    rate: 0.6,
+                    elapsed_ms: 600,
+                    epoch_ms: 1000,
                     num_epochs: 1,
                     curve: "Linear".into(),
                 },
-                "alloc.delay",
             ),
             (
+                "fleet.pressure",
                 TraceData::FleetPressure {
                     node: 0,
                     zone: TraceZone::Green,
@@ -1560,9 +1134,21 @@ mod tests {
                     top: 3,
                     escalations: 0,
                 },
-                "fleet.pressure",
             ),
             (
+                "fleet.pressure",
+                TraceData::FleetPressure {
+                    node: 2,
+                    zone: TraceZone::Yellow,
+                    used: 10,
+                    reserved: 15,
+                    high: 20,
+                    top: 30,
+                    escalations: 1,
+                },
+            ),
+            (
+                "fleet.place",
                 TraceData::FleetPlace {
                     job: 0,
                     node: 1,
@@ -1570,41 +1156,67 @@ mod tests {
                     demand: 3,
                     top: 4,
                 },
-                "fleet.place",
             ),
             (
+                "fleet.place",
+                TraceData::FleetPlace {
+                    job: 1,
+                    node: 2,
+                    used: 10,
+                    demand: 5,
+                    top: 30,
+                },
+            ),
+            (
+                "fleet.defer",
                 TraceData::FleetDefer {
                     job: 0,
                     attempt: 1,
                     retry_at_ms: 2,
                 },
-                "fleet.defer",
             ),
             (
+                "fleet.migrate",
                 TraceData::FleetMigrate {
                     job: 0,
                     from: 1,
                     to: 2,
                     red_for_ms: 3,
                 },
-                "fleet.migrate",
             ),
             (
+                "fleet.migrate",
+                TraceData::FleetMigrate {
+                    job: 1,
+                    from: 2,
+                    to: 0,
+                    red_for_ms: 9000,
+                },
+            ),
+            (
+                "fleet.giveup",
                 TraceData::FleetGiveUp {
                     job: 0,
                     attempts: 3,
                     demand: 5,
                 },
-                "fleet.giveup",
             ),
             (
+                "fleet.node_lost",
                 TraceData::FleetNodeLost {
                     node: 4,
                     jobs_lost: 2,
                 },
-                "fleet.node_lost",
             ),
             (
+                "fleet.node_lost",
+                TraceData::FleetNodeLost {
+                    node: 2,
+                    jobs_lost: 1,
+                },
+            ),
+            (
+                "fleet.reschedule",
                 TraceData::FleetReschedule {
                     job: 0,
                     from: 4,
@@ -1612,25 +1224,51 @@ mod tests {
                     retry_at_ms: 90_000,
                     requeued: true,
                 },
-                "fleet.reschedule",
             ),
             (
+                "fleet.reschedule",
+                TraceData::FleetReschedule {
+                    job: 1,
+                    from: 2,
+                    retries: 1,
+                    retry_at_ms: 9_500,
+                    requeued: true,
+                },
+            ),
+            (
+                "fleet.quarantine",
                 TraceData::FleetQuarantine {
                     node: 4,
                     entered: true,
                     streak: 2,
                 },
-                "fleet.quarantine",
             ),
             (
+                "fleet.quarantine",
+                TraceData::FleetQuarantine {
+                    node: 0,
+                    entered: false,
+                    streak: 3,
+                },
+            ),
+            (
+                "sched.class.assign",
                 TraceData::SchedClassAssign {
                     job: 0,
                     crit: Criticality::LatencyCritical,
                     slo_ms: 5000,
                 },
-                "sched.class.assign",
             ),
             (
+                "sched.class.assign",
+                TraceData::SchedClassAssign {
+                    job: 1,
+                    crit: Criticality::Batch,
+                    slo_ms: 0,
+                },
+            ),
+            (
+                "sched.class.preempt",
                 TraceData::SchedClassPreempt {
                     job: 0,
                     crit: Criticality::LatencyCritical,
@@ -1638,9 +1276,9 @@ mod tests {
                     victim_crit: Criticality::Batch,
                     node: 2,
                 },
-                "sched.class.preempt",
             ),
             (
+                "sched.class.slo",
                 TraceData::SchedClassSlo {
                     job: 0,
                     crit: Criticality::Standard,
@@ -1649,33 +1287,74 @@ mod tests {
                     stall_ms: 0,
                     met: true,
                 },
-                "sched.class.slo",
             ),
             (
+                "sched.class.slo",
+                TraceData::SchedClassSlo {
+                    job: 0,
+                    crit: Criticality::LatencyCritical,
+                    slo_ms: 4000,
+                    runtime_ms: 3500,
+                    stall_ms: 120,
+                    met: true,
+                },
+            ),
+            (
+                "kill.class",
                 TraceData::KillClass {
                     crit: Criticality::Batch,
                     candidates: vec![],
                 },
-                "kill.class",
             ),
             (
+                "kill.class",
+                TraceData::KillClass {
+                    crit: Criticality::Batch,
+                    candidates: vec![CandidateInfo {
+                        pid: 5,
+                        spawned_at_ms: 100,
+                        rss: 64,
+                        expected_reclaim: 6,
+                        crit: Criticality::Batch,
+                    }],
+                },
+            ),
+            (
+                "reclaim.packet.enqueue",
                 TraceData::PacketEnqueue {
                     packet: 0,
                     pkind: "evict_blocks".into(),
                     bucket: PacketBucket::Prepare,
                     deps: vec![],
                 },
-                "reclaim.packet.enqueue",
             ),
             (
+                "reclaim.packet.enqueue",
+                TraceData::PacketEnqueue {
+                    packet: 2,
+                    pkind: "gc_old".into(),
+                    bucket: PacketBucket::Collect,
+                    deps: vec![1],
+                },
+            ),
+            (
+                "reclaim.packet.start",
                 TraceData::PacketStart {
                     packet: 1,
                     bucket: PacketBucket::Collect,
                     wave: 1,
                 },
-                "reclaim.packet.start",
             ),
             (
+                "reclaim.packet.start",
+                TraceData::PacketStart {
+                    packet: 2,
+                    bucket: PacketBucket::Collect,
+                    wave: 1,
+                },
+            ),
+            (
+                "reclaim.packet.finish",
                 TraceData::PacketFinish {
                     packet: 1,
                     bucket: PacketBucket::Collect,
@@ -1683,19 +1362,67 @@ mod tests {
                     returned: 0,
                     duration_ms: 15,
                 },
-                "reclaim.packet.finish",
             ),
             (
+                "reclaim.packet.finish",
+                TraceData::PacketFinish {
+                    packet: 2,
+                    bucket: PacketBucket::Collect,
+                    bytes: 4096,
+                    returned: 0,
+                    duration_ms: 7,
+                },
+            ),
+            (
+                "reclaim.packet.stall",
                 TraceData::PacketStall {
                     packet: 2,
                     waiting_on: 1,
                     wave: 1,
                 },
+            ),
+            (
                 "reclaim.packet.stall",
+                TraceData::PacketStall {
+                    packet: 2,
+                    waiting_on: 1,
+                    wave: 0,
+                },
             ),
         ];
-        for (data, kind) in cases {
+        let kinds: std::collections::BTreeSet<&str> = cases.iter().map(|(k, _)| *k).collect();
+        assert_eq!(kinds.len(), 49, "one case per kind string");
+        let mut log = TraceLog::new();
+        for (i, (kind, data)) in cases.into_iter().enumerate() {
             assert_eq!(data.kind(), kind);
+            let back = TraceData::deserialize(&data.serialize())
+                .unwrap_or_else(|e| panic!("{kind} does not round trip: {e:?}"));
+            assert_eq!(back, data);
+            log.record(t(i as u64), i as u64, data);
+        }
+        let back = TraceLog::deserialize(&log.serialize()).expect("log round trip");
+        assert_eq!(back.events(), log.events());
+    }
+
+    #[test]
+    fn kind_that_disagrees_with_its_payload_is_rejected() {
+        // `{"kind":"gc.young","layer":"Full",..}`, `"signal.low"` carrying
+        // `"sig":"High"` and `"alloc.admit"` carrying `"delayed":true`.
+        let cases = [
+            (gc(GcLayer::Full, 0), "gc.young"),
+            (TraceData::SignalSent { sig: SigKind::High }, "signal.low"),
+            (gate(true), "alloc.admit"),
+        ];
+        for (data, wrong) in cases {
+            let Content::Map(mut entries) = data.serialize() else {
+                panic!("expected map");
+            };
+            let parsed = TraceData::deserialize(&Content::Map(entries.clone()));
+            assert_eq!(parsed.expect("the true label parses"), data);
+            entries[0].1 = Content::Str(wrong.to_string());
+            let err = TraceData::deserialize(&Content::Map(entries))
+                .expect_err("a relabelled payload must not parse");
+            assert!(err.0.contains(wrong), "{err:?}");
         }
     }
 
@@ -1712,208 +1439,6 @@ mod tests {
                     > Criticality::LatencyCritical.expendability(),
             "batch dies first, latency-critical last"
         );
-    }
-
-    #[test]
-    fn events_round_trip_through_serde() {
-        let mut log = TraceLog::new();
-        log.record(
-            t(1),
-            0,
-            TraceData::MonitorPoll {
-                zone: TraceZone::Red,
-                used: 100,
-                low: 50,
-                high: 80,
-                degraded: false,
-                low_signalled: vec![],
-                high_signalled: vec![3, 4],
-                killed: vec![],
-            },
-        );
-        log.record(
-            t(2),
-            0,
-            TraceData::Selection {
-                order: "NewestFirst".into(),
-                target: 20,
-                all: false,
-                candidates: vec![CandidateInfo {
-                    pid: 3,
-                    spawned_at_ms: 0,
-                    rss: 100,
-                    expected_reclaim: 25,
-                    crit: Criticality::Standard,
-                }],
-                selected: vec![3],
-            },
-        );
-        log.record(
-            t(3),
-            3,
-            TraceData::AllocBatch {
-                n: 10,
-                delayed: 4,
-                rate: 0.6,
-                elapsed_ms: 600,
-                epoch_ms: 1000,
-                num_epochs: 1,
-                curve: "Linear".into(),
-            },
-        );
-        log.record(
-            t(4),
-            0,
-            TraceData::FleetPressure {
-                node: 2,
-                zone: TraceZone::Yellow,
-                used: 10,
-                reserved: 15,
-                high: 20,
-                top: 30,
-                escalations: 1,
-            },
-        );
-        log.record(
-            t(5),
-            0,
-            TraceData::FleetPlace {
-                job: 1,
-                node: 2,
-                used: 10,
-                demand: 5,
-                top: 30,
-            },
-        );
-        log.record(
-            t(6),
-            0,
-            TraceData::FleetMigrate {
-                job: 1,
-                from: 2,
-                to: 0,
-                red_for_ms: 9000,
-            },
-        );
-        log.record(
-            t(7),
-            2,
-            TraceData::FleetNodeLost {
-                node: 2,
-                jobs_lost: 1,
-            },
-        );
-        log.record(
-            t(8),
-            1,
-            TraceData::FleetReschedule {
-                job: 1,
-                from: 2,
-                retries: 1,
-                retry_at_ms: 9_500,
-                requeued: true,
-            },
-        );
-        log.record(
-            t(9),
-            0,
-            TraceData::FleetQuarantine {
-                node: 0,
-                entered: false,
-                streak: 3,
-            },
-        );
-        log.record(
-            t(10),
-            1,
-            TraceData::SchedClassAssign {
-                job: 1,
-                crit: Criticality::Batch,
-                slo_ms: 0,
-            },
-        );
-        log.record(
-            t(11),
-            0,
-            TraceData::SchedClassPreempt {
-                job: 0,
-                crit: Criticality::LatencyCritical,
-                victim: 1,
-                victim_crit: Criticality::Batch,
-                node: 2,
-            },
-        );
-        log.record(
-            t(12),
-            0,
-            TraceData::SchedClassSlo {
-                job: 0,
-                crit: Criticality::LatencyCritical,
-                slo_ms: 4000,
-                runtime_ms: 3500,
-                stall_ms: 120,
-                met: true,
-            },
-        );
-        log.record(
-            t(13),
-            5,
-            TraceData::KillClass {
-                crit: Criticality::Batch,
-                candidates: vec![CandidateInfo {
-                    pid: 5,
-                    spawned_at_ms: 100,
-                    rss: 64,
-                    expected_reclaim: 6,
-                    crit: Criticality::Batch,
-                }],
-            },
-        );
-        log.record(
-            t(14),
-            3,
-            TraceData::PacketEnqueue {
-                packet: 2,
-                pkind: "gc_old".into(),
-                bucket: PacketBucket::Collect,
-                deps: vec![1],
-            },
-        );
-        log.record(
-            t(14),
-            3,
-            TraceData::PacketStall {
-                packet: 2,
-                waiting_on: 1,
-                wave: 0,
-            },
-        );
-        log.record(
-            t(14),
-            3,
-            TraceData::PacketStart {
-                packet: 2,
-                bucket: PacketBucket::Collect,
-                wave: 1,
-            },
-        );
-        log.record(
-            t(14),
-            3,
-            TraceData::PacketFinish {
-                packet: 2,
-                bucket: PacketBucket::Collect,
-                bytes: 4096,
-                returned: 0,
-                duration_ms: 7,
-            },
-        );
-        let c = log.serialize();
-        let back = TraceLog::deserialize(&c).expect("round trip");
-        assert_eq!(back.len(), log.len());
-        for (a, b) in log.events().iter().zip(back.events()) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

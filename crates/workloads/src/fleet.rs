@@ -17,7 +17,7 @@
 //!
 //! - **Incremental probes.** A node's probe simulation runs once over the
 //!   full horizon with a pressure timeline sampled at every monitor poll,
-//!   and is cached on the node ([`NodeState::probe`]) until the node's
+//!   and is cached on the node (`NodeState::probe`) until the node's
 //!   assignment set or fault plan changes (the *dirty* rule: any mutation
 //!   clears the cache). Reading the node's state at time `t` is then a
 //!   timeline lookup, not a re-simulation. Idle nodes never simulate at

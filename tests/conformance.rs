@@ -14,9 +14,11 @@
 //! offending trace is written under `target/conformance-artifacts/` so CI
 //! can upload it.
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
+use std::fs;
+
+use common::{assert_golden, golden_dir, read_golden, trace_jsonl, write_artifact};
 use m3::prelude::*;
 use m3::sim::clock::SimDuration;
 use m3::sim::trace::{TraceEvent, TraceLog};
@@ -29,66 +31,6 @@ fn machine() -> MachineConfig {
     cfg
 }
 
-/// Serializes a trace one compact JSON object per line, so golden files
-/// diff line-by-line in review.
-fn trace_jsonl(trace: &TraceLog) -> String {
-    let mut out = String::new();
-    for e in trace.events() {
-        out.push_str(&serde_json::to_string(e).expect("trace event serializes"));
-        out.push('\n');
-    }
-    out
-}
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-}
-
-fn artifact_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("conformance-artifacts")
-}
-
-/// Compares `actual` against the golden snapshot `name`, writing the
-/// offending trace to `target/conformance-artifacts/` on divergence.
-/// `M3_UPDATE_GOLDEN=1` rewrites the snapshot instead.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var("M3_UPDATE_GOLDEN").is_ok() {
-        fs::create_dir_all(golden_dir()).expect("create golden dir");
-        fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); regenerate with \
-             M3_UPDATE_GOLDEN=1 cargo test --test conformance",
-            path.display()
-        )
-    });
-    if expected != actual {
-        let dump = artifact_dir().join(name);
-        fs::create_dir_all(artifact_dir()).expect("create artifact dir");
-        fs::write(&dump, actual).expect("write artifact");
-        let first_diff = expected
-            .lines()
-            .zip(actual.lines())
-            .position(|(a, b)| a != b)
-            .map_or_else(
-                || "lengths differ".to_string(),
-                |i| format!("first differing line {}", i + 1),
-            );
-        panic!(
-            "trace diverged from golden {name} ({first_diff}); \
-             offending trace written to {}",
-            dump.display()
-        );
-    }
-}
-
 /// Asserts a run produced a non-empty trace and zero oracle violations,
 /// dumping the trace as a CI artifact otherwise.
 fn assert_conformant(label: &str, run: &RunResult) {
@@ -97,9 +39,7 @@ fn assert_conformant(label: &str, run: &RunResult) {
         "{label}: capture_trace is on, the trace must not be empty"
     );
     if !run.violations.is_empty() {
-        let dump = artifact_dir().join(format!("{label}.trace.jsonl"));
-        fs::create_dir_all(artifact_dir()).expect("create artifact dir");
-        fs::write(&dump, trace_jsonl(&run.trace)).expect("write artifact");
+        let dump = write_artifact(&format!("{label}.trace.jsonl"), &trace_jsonl(&run.trace));
         panic!(
             "{label}: {} oracle violations (trace written to {}): {:#?}",
             run.violations.len(),
@@ -294,14 +234,7 @@ fn golden_packet_reclaim_replays_conformant() {
     // The committed snapshot itself — not just the run that regenerates it —
     // must satisfy the packet invariants: parse it back off disk and replay
     // it through the paper oracle.
-    let path = golden_dir().join("packet_reclaim.trace.jsonl");
-    let text = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); regenerate with \
-             M3_UPDATE_GOLDEN=1 cargo test --test conformance",
-            path.display()
-        )
-    });
+    let text = read_golden("packet_reclaim.trace.jsonl");
     let mut log = TraceLog::new();
     for (i, line) in text.lines().enumerate() {
         let e: TraceEvent = serde_json::from_str(line)
@@ -314,6 +247,31 @@ fn golden_packet_reclaim_replays_conformant() {
         violations.is_empty(),
         "replaying the packet golden must be violation-free, got {violations:#?}"
     );
+}
+
+#[test]
+fn every_golden_line_round_trips() {
+    // Every committed golden line must parse back into a typed event and
+    // re-serialize to the identical bytes: the trace schema reads what it
+    // writes, for every kind the goldens contain.
+    let mut names: Vec<String> = fs::read_dir(golden_dir())
+        .expect("read golden dir")
+        .map(|entry| entry.expect("golden dir entry").file_name())
+        .filter_map(|name| name.into_string().ok())
+        .filter(|name| name.ends_with(".trace.jsonl"))
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 5, "golden snapshots: {names:?}");
+    for name in &names {
+        let text = read_golden(name);
+        assert!(!text.is_empty(), "{name} is empty");
+        for (i, line) in text.lines().enumerate() {
+            let e: TraceEvent = serde_json::from_str(line)
+                .unwrap_or_else(|err| panic!("{name}:{} does not parse: {err:?}", i + 1));
+            let back = serde_json::to_string(&e).expect("trace event serializes");
+            assert_eq!(back, line, "{name}:{} does not re-serialize", i + 1);
+        }
+    }
 }
 
 #[test]

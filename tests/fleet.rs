@@ -11,12 +11,12 @@
 //! offending trace is written under `target/conformance-artifacts/` so CI
 //! can upload it.
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
+
 use std::sync::Arc;
 
+use common::{assert_golden, trace_jsonl};
 use m3::prelude::*;
-use m3::sim::trace::TraceLog;
 use m3::workloads::fleet::fleet_cache_stats;
 use m3::workloads::scenario::fleet_scenarios;
 use m3::workloads::worker_threads;
@@ -34,64 +34,6 @@ fn fleet3() -> FleetConfig {
     let mut fleet = FleetConfig::homogeneous(3, 64 * GIB);
     fleet.rebalance_checks = 10;
     fleet
-}
-
-fn trace_jsonl(trace: &TraceLog) -> String {
-    let mut out = String::new();
-    for e in trace.events() {
-        out.push_str(&serde_json::to_string(e).expect("trace event serializes"));
-        out.push('\n');
-    }
-    out
-}
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-}
-
-fn artifact_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("conformance-artifacts")
-}
-
-/// Compares `actual` against the golden snapshot `name`, writing the
-/// offending trace to `target/conformance-artifacts/` on divergence.
-/// `M3_UPDATE_GOLDEN=1` rewrites the snapshot instead.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var("M3_UPDATE_GOLDEN").is_ok() {
-        fs::create_dir_all(golden_dir()).expect("create golden dir");
-        fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); regenerate with \
-             M3_UPDATE_GOLDEN=1 cargo test --test fleet",
-            path.display()
-        )
-    });
-    if expected != actual {
-        let dump = artifact_dir().join(name);
-        fs::create_dir_all(artifact_dir()).expect("create artifact dir");
-        fs::write(&dump, actual).expect("write artifact");
-        let first_diff = expected
-            .lines()
-            .zip(actual.lines())
-            .position(|(a, b)| a != b)
-            .map_or_else(
-                || "lengths differ".to_string(),
-                |i| format!("first differing line {}", i + 1),
-            );
-        panic!(
-            "trace diverged from golden {name} ({first_diff}); \
-             offending trace written to {}",
-            dump.display()
-        );
-    }
 }
 
 #[test]
