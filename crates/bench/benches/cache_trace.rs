@@ -13,7 +13,7 @@
 //! (CI smoke); `M3_CACHE_TRACE_BUDGET_S` asserts a per-point wall-clock
 //! budget; `M3_JOBS` sets the recorded worker count.
 
-use m3_bench::{render_table, BenchTimer};
+use m3_bench::{env, render_table, BenchTimer};
 use m3_cache::{TraceWorkload, TrafficPattern};
 use m3_sim::units::GIB;
 use m3_workloads::kvtrace::{run_cache_trace_cached, CachePolicy};
@@ -53,13 +53,6 @@ struct TraceRow {
     violations: usize,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 fn pattern_name(p: TrafficPattern) -> &'static str {
     match p {
         TrafficPattern::Steady => "steady",
@@ -72,11 +65,9 @@ fn pattern_name(p: TrafficPattern) -> &'static str {
 fn main() {
     let bench = BenchTimer::start("cache_trace");
     let base = TraceWorkload::production(TrafficPattern::Steady);
-    let keys = env_u64("M3_CACHE_TRACE_KEYS", base.key_space);
-    let ops = env_u64("M3_CACHE_TRACE_OPS", base.total_ops);
-    let budget_s = std::env::var("M3_CACHE_TRACE_BUDGET_S")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok());
+    let keys = env("M3_CACHE_TRACE_KEYS").unwrap_or(base.key_space);
+    let ops = env("M3_CACHE_TRACE_OPS").unwrap_or(base.total_ops);
+    let budget_s = env::<f64>("M3_CACHE_TRACE_BUDGET_S");
     println!(
         "cache-trace sweep — {keys} keys, {ops} ops per point, {} workers\n",
         worker_threads()

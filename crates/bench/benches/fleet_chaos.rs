@@ -14,7 +14,7 @@
 //! `M3_FLEET_CHAOS_BUDGET_S` asserts a per-point wall-clock budget;
 //! `M3_JOBS` sets the worker count.
 
-use m3_bench::{fmt_runtime, render_table, BenchTimer};
+use m3_bench::{env, fmt_runtime, render_table, BenchTimer};
 use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
 use m3_sim::SimRng;
@@ -103,18 +103,10 @@ fn crash_plan(nodes: usize, mtbf_s: u64) -> FleetFaultPlan {
     plan
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 fn main() {
     let bench = BenchTimer::start("fleet_chaos");
-    let nodes = env_usize("M3_FLEET_CHAOS_NODES").unwrap_or(512);
-    let budget_s = env_f64("M3_FLEET_CHAOS_BUDGET_S");
+    let nodes = env::<usize>("M3_FLEET_CHAOS_NODES").unwrap_or(512);
+    let budget_s = env::<f64>("M3_FLEET_CHAOS_BUDGET_S");
     let scenario = fleet_scale_scenario(nodes);
     let fleet = quarter_small_fleet(nodes);
     let setting = Setting::m3(scenario.len());

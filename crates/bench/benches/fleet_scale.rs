@@ -7,21 +7,21 @@
 //! heterogeneous fleet (every fourth node is 32 GiB). Reports per-point
 //! wall clock, scheduler activity, and the node-run cache's hit rate —
 //! the content-addressed sharing that makes a 10k-node fleet simulate
-//! only its few distinct node schedules. A passthrough (replicated) point
-//! and a memoized repeat of the largest point ride along as contrast and
-//! regression checks.
+//! only its few distinct node schedules. A replicated-worker point
+//! (`run_cluster`) and a memoized repeat of the largest point ride along
+//! as contrast and regression checks.
 //!
 //! Knobs: `M3_FLEET_SCALE_MAX_NODES` caps the curve (CI smoke runs 512);
 //! `M3_FLEET_SCALE_BUDGET_S` asserts a per-point wall-clock budget;
 //! `M3_JOBS` sets the worker count recorded in the report.
 
-use m3_bench::{fmt_runtime, render_table, BenchTimer};
+use m3_bench::{env, fmt_runtime, render_table, BenchTimer};
 use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
-use m3_workloads::cluster::{ClusterMean, JobFailure};
+use m3_workloads::cluster::{run_cluster, ClusterMean, ClusterResult, JobFailure};
 use m3_workloads::fleet::{fleet_cache_stats, run_fleet_cached, FleetConfig, NodeSpec};
 use m3_workloads::machine::MachineConfig;
-use m3_workloads::parallel::cache_stats;
+use m3_workloads::parallel::{cache_stats, CacheStats};
 use m3_workloads::scenario::{fleet_canonical, fleet_scale_scenario, Scenario};
 use m3_workloads::settings::Setting;
 use m3_workloads::worker_threads;
@@ -71,28 +71,59 @@ fn quarter_small_fleet(n: usize) -> FleetConfig {
     fleet
 }
 
-fn run_row(scenario: &Scenario, fleet: &FleetConfig) -> FleetRow {
-    let setting = Setting::m3(scenario.len());
+impl FleetRow {
+    /// A row with no scheduler activity yet, from one point's cluster
+    /// result, wall clock and node-cache activity.
+    fn new(
+        scenario: &Scenario,
+        nodes: usize,
+        scheduler: bool,
+        cluster: &ClusterResult,
+        wall_clock_s: f64,
+        cache: CacheStats,
+    ) -> Self {
+        let ClusterMean {
+            mean_secs,
+            completed_apps,
+            failed_apps,
+            ..
+        } = cluster.mean_runtime_secs();
+        FleetRow {
+            nodes,
+            jobs: scenario.len(),
+            scheduler,
+            wall_clock_s,
+            workers: worker_threads(),
+            mean_runtime_s: mean_secs,
+            completed_apps,
+            failed_apps,
+            deferrals: 0,
+            migrations: 0,
+            gave_up: 0,
+            violations: 0,
+            node_cache_hits: cache.hits,
+            node_cache_misses: cache.misses,
+            node_cache_hit_rate: cache.hit_rate(),
+        }
+    }
+}
+
+/// Runs `run`, returning its result with its wall clock and the node-run
+/// cache activity it caused.
+fn timed<T>(run: impl FnOnce() -> T) -> (T, f64, CacheStats) {
     let cache_before = cache_stats();
     let started = std::time::Instant::now();
-    let res = run_fleet_cached(scenario, &setting, machine(), fleet);
+    let out = run();
     let wall_clock_s = started.elapsed().as_secs_f64();
-    let cache = cache_stats().since(&cache_before);
-    let ClusterMean {
-        mean_secs,
-        completed_apps,
-        failed_apps,
-        ..
-    } = res.cluster.mean_runtime_secs();
+    (out, wall_clock_s, cache_stats().since(&cache_before))
+}
+
+fn run_row(scenario: &Scenario, fleet: &FleetConfig) -> FleetRow {
+    let setting = Setting::m3(scenario.len());
+    let (res, wall_clock_s, cache) =
+        timed(|| run_fleet_cached(scenario, &setting, machine(), fleet));
+    let nodes = fleet.nodes.len();
     FleetRow {
-        nodes: fleet.nodes.len(),
-        jobs: scenario.len(),
-        scheduler: fleet.scheduler,
-        wall_clock_s,
-        workers: worker_threads(),
-        mean_runtime_s: mean_secs,
-        completed_apps,
-        failed_apps,
         deferrals: res.jobs.iter().map(|j| j.deferrals as u64).sum(),
         migrations: res.jobs.iter().map(|j| j.migrations as u64).sum(),
         gave_up: res
@@ -101,24 +132,23 @@ fn run_row(scenario: &Scenario, fleet: &FleetConfig) -> FleetRow {
             .filter(|j| j.failure == Some(JobFailure::GaveUp))
             .count(),
         violations: res.violations.len(),
-        node_cache_hits: cache.hits,
-        node_cache_misses: cache.misses,
-        node_cache_hit_rate: cache.hit_rate(),
+        ..FleetRow::new(scenario, nodes, true, &res.cluster, wall_clock_s, cache)
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.trim().parse().ok()
+/// The replicated-worker contrast: every node runs the whole schedule
+/// through `run_cluster`, with no placement decisions at all.
+fn replicated_row(scenario: &Scenario, nodes: usize) -> FleetRow {
+    let setting = Setting::m3(scenario.len());
+    let (cluster, wall_clock_s, cache) =
+        timed(|| run_cluster(scenario, &setting, machine(), nodes));
+    FleetRow::new(scenario, nodes, false, &cluster, wall_clock_s, cache)
 }
 
 fn main() {
     let bench = BenchTimer::start("fleet_scale");
-    let max_nodes = env_usize("M3_FLEET_SCALE_MAX_NODES").unwrap_or(10_000);
-    let budget_s = env_f64("M3_FLEET_SCALE_BUDGET_S");
+    let max_nodes = env::<usize>("M3_FLEET_SCALE_MAX_NODES").unwrap_or(10_000);
+    let budget_s = env::<f64>("M3_FLEET_SCALE_BUDGET_S");
     println!("Fleet scheduler scaling — wave workload, 10 jobs/node\n");
 
     let mut rows = Vec::new();
@@ -130,9 +160,8 @@ fn main() {
         let scenario = fleet_scale_scenario(nodes);
         rows.push(run_row(&scenario, &quarter_small_fleet(nodes)));
     }
-    // Contrast: the replicated-worker setup on the canonical mix (every
-    // node runs the whole schedule; no placement decisions at all).
-    rows.push(run_row(&fleet_canonical(), &FleetConfig::passthrough(8)));
+    // Contrast: the replicated-worker setup on the canonical mix.
+    rows.push(replicated_row(&fleet_canonical(), 8));
     // Re-running the largest scheduled point must be a pure cache hit.
     let largest = rows
         .iter()

@@ -17,7 +17,7 @@
 //! 8); `M3_MIXED_CRIT_BUDGET_S` asserts a per-point wall-clock budget;
 //! `M3_JOBS` sets the worker count.
 
-use m3_bench::{fmt_runtime, render_table, BenchTimer};
+use m3_bench::{env, fmt_runtime, render_table, BenchTimer};
 use m3_sim::clock::SimDuration;
 use m3_sim::trace::{Criticality, TraceData};
 use m3_sim::units::GIB;
@@ -116,18 +116,10 @@ fn row_for(batch: usize, setting: &str, res: &FleetResult, wall_clock_s: f64) ->
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 fn main() {
     let bench = BenchTimer::start("mixed_criticality");
-    let max_batch = env_usize("M3_MIXED_CRIT_MAX_BATCH").unwrap_or(8);
-    let budget_s = env_f64("M3_MIXED_CRIT_BUDGET_S");
+    let max_batch = env::<usize>("M3_MIXED_CRIT_MAX_BATCH").unwrap_or(8);
+    let budget_s = env::<f64>("M3_MIXED_CRIT_BUDGET_S");
     let fleet = one_node_fleet();
     println!(
         "Mixed-criticality co-location — batch load vs cache-tier SLO debt (SLO {SLO_MS} ms)\n"

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use m3_bench::{render_table, BenchTimer};
+use m3_bench::{env, render_table, BenchTimer};
 use m3_sim::clock::SimDuration;
 use m3_sim::trace::TraceData;
 use m3_workloads::machine::MachineConfig;
@@ -68,14 +68,6 @@ struct ReclaimPacketsReport {
     mean_packets_per_drain: f64,
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 /// One sweep: every job simulated fresh (no memo cache) on `workers`
 /// workers, returning the wall clock and the outcomes in submission order.
 fn sweep(
@@ -108,8 +100,8 @@ fn timed_sweep(
 
 fn main() {
     let bench = BenchTimer::start("reclaim_packets");
-    let salts = env_usize("M3_RECLAIM_PACKETS_SALTS").unwrap_or(16);
-    let budget_s = env_f64("M3_RECLAIM_PACKETS_BUDGET_S");
+    let salts = env::<usize>("M3_RECLAIM_PACKETS_SALTS").unwrap_or(16);
+    let budget_s = env::<f64>("M3_RECLAIM_PACKETS_BUDGET_S");
 
     let scenarios = [Scenario::uniform("MMW", 180), Scenario::uniform("CMW", 180)];
     let mut jobs: Vec<(Scenario, Setting, MachineConfig)> = Vec::new();
@@ -131,7 +123,7 @@ fn main() {
     // Untimed warmup so allocator and page-cache state do not bias
     // whichever timed sweep happens to run first.
     let _ = sweep(&jobs, 1);
-    let reps = env_usize("M3_RECLAIM_PACKETS_REPS").unwrap_or(3);
+    let reps = env::<usize>("M3_RECLAIM_PACKETS_REPS").unwrap_or(3);
     eprintln!("[reclaim_packets] 1-worker sweep ...");
     let (wall_1, serial) = timed_sweep(&jobs, 1, reps);
     eprintln!("[reclaim_packets] 8-worker sweep ...");

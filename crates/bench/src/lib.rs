@@ -73,6 +73,24 @@ pub fn fmt_secs(d: SimDuration) -> String {
     format!("{:.0}", d.as_secs_f64())
 }
 
+/// Reads the environment variable `name` as a `T`: `None` when it is
+/// unset. A value that is set but does not parse fails the bench with the
+/// variable's name, so a mistyped knob cannot silently run the default.
+pub fn env<T: std::str::FromStr>(name: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw = match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => return None,
+        Err(e) => panic!("{name}: {e}"),
+        Ok(raw) => raw,
+    };
+    match raw.trim().parse() {
+        Ok(v) => Some(v),
+        Err(e) => panic!("{name}={raw:?} does not parse: {e}"),
+    }
+}
+
 /// The results directory (`results/` at the workspace root), created on
 /// demand. A relative `M3_RESULTS_DIR` is resolved against the workspace
 /// root, not the bench binary's cwd (cargo runs benches from the package

@@ -16,9 +16,9 @@
 //! every variant with its docs, its kind string(s) and its fields, and
 //! generates the enum, [`TraceData::kind`], the flat field serializer and
 //! the deserializer, which rejects a line whose kind disagrees with its
-//! payload. To add a kind, add one table entry. The paper oracle's
-//! exhaustive `match` over [`TraceData`] in `m3-oracle` then stops
-//! compiling until the new kind is given a check, or explicitly none.
+//! payload. To add a kind, add one table entry, then match it in the
+//! `m3-oracle` family module that checks its layer; a kind no family
+//! matches goes unchecked.
 
 use crate::clock::SimTime;
 use serde::{map_field, Content, DeError, Deserialize, Serialize};

@@ -79,7 +79,7 @@ use m3_sim::units::GIB;
 use m3_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::{run_cluster_nodes, ClusterResult, JobFailure};
+use crate::cluster::{ClusterResult, JobFailure};
 use crate::faults::{FaultPlan, FleetDegradationReport, FleetFaultPlan, ProbeFlap};
 use crate::hibench;
 use crate::machine::MachineConfig;
@@ -127,10 +127,6 @@ pub enum PlacementPolicy {
 pub struct FleetConfig {
     /// The worker nodes (heterogeneous sizes allowed).
     pub nodes: Vec<NodeSpec>,
-    /// `false` runs every node through the [`crate::cluster::run_cluster`]
-    /// aggregation (each node runs the whole schedule; no placement
-    /// decisions) — the passthrough mode the figure benches rely on.
-    pub scheduler: bool,
     /// How long a node must stay red before the rebalancer may migrate a
     /// job off it.
     pub grace: SimDuration,
@@ -192,7 +188,6 @@ impl FleetConfig {
     pub fn homogeneous(n: usize, phys_total: u64) -> Self {
         FleetConfig {
             nodes: vec![NodeSpec { phys_total }; n],
-            scheduler: true,
             grace: SimDuration::from_secs(60),
             defer_interval: SimDuration::from_secs(120),
             max_defers: 30,
@@ -214,18 +209,9 @@ impl FleetConfig {
         }
     }
 
-    /// The paper's eight 64-GB workers, scheduler on.
+    /// The paper's eight 64-GB workers.
     pub fn paper() -> Self {
         FleetConfig::homogeneous(crate::cluster::PAPER_NODES, 64 * GIB)
-    }
-
-    /// `n` 64-GB nodes with the scheduler disabled: every node runs the full
-    /// schedule, exactly like [`crate::cluster::run_cluster`].
-    pub fn passthrough(n: usize) -> Self {
-        FleetConfig {
-            scheduler: false,
-            ..FleetConfig::homogeneous(n, 64 * GIB)
-        }
     }
 }
 
@@ -234,8 +220,7 @@ impl FleetConfig {
 pub struct JobOutcome {
     /// The job's index in the scenario.
     pub job: usize,
-    /// The node the job finally ran on (`None` if the scheduler gave up,
-    /// or in passthrough mode where every node runs every job).
+    /// The node the job finally ran on (`None` if the scheduler gave up).
     pub node: Option<usize>,
     /// Admission deferrals before placement (or before giving up).
     pub deferrals: u32,
@@ -267,21 +252,19 @@ pub struct JobOutcome {
 /// fleet memoization cache hands out shared results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetResult {
-    /// Cluster-level aggregation (slowest-node semantics in passthrough
-    /// mode; final-node runtimes under the scheduler, where the quadratic
+    /// Cluster-level aggregation: final-node runtimes, where the quadratic
     /// `per_node_s`/`spread_s` tables stay empty — at 10k nodes × 100k
-    /// jobs they would dwarf everything else).
+    /// jobs they would dwarf everything else.
     pub cluster: ClusterResult,
-    /// Per-job scheduler outcomes (empty in passthrough mode).
+    /// Per-job scheduler outcomes.
     pub jobs: Vec<JobOutcome>,
-    /// The scheduler's placement log (`fleet.*` events; empty in
-    /// passthrough mode).
+    /// The scheduler's placement log (`fleet.*` events).
     pub trace: TraceLog,
     /// Cluster-invariant violations from [`FleetOracle`] plus any node-level
     /// conformance violations from the final node runs. Empty = conformant.
     pub violations: Vec<Violation>,
     /// What the injected fleet faults cost this run (all zeros for a clean
-    /// run or in passthrough mode).
+    /// run).
     pub degradation: FleetDegradationReport,
 }
 
@@ -307,26 +290,12 @@ pub fn demand_estimate(kind: AppKind) -> u64 {
     }
 }
 
-/// The per-node machine configuration of the *passthrough* path: the base
-/// config with this node's salt and size. A node whose size differs from
-/// the base keeps no stale monitor — [`MachineConfig::with_setting`]
-/// re-scales one to the node.
-fn node_machine_cfg(base: MachineConfig, node: usize, phys_total: u64) -> MachineConfig {
-    let mut cfg = base;
-    cfg.node_salt = node as u64 + 1;
-    if cfg.phys_total != phys_total {
-        cfg.phys_total = phys_total;
-        cfg.monitor = None;
-    }
-    cfg
-}
-
-/// The per-node machine configuration of the *scheduler* path. No node
-/// salt: two nodes of the same size running the same schedule under the
-/// same faults are byte-identical simulations, so dropping the salt lets
-/// them share one content-addressed run-cache entry — the reason a 10k-node
-/// fleet only simulates its few hundred distinct nodes. The scheduler's own
-/// placement provides the per-node heterogeneity a salt used to fake.
+/// The per-node machine configuration of a fleet node. No node salt: two
+/// nodes of the same size running the same schedule under the same faults
+/// are byte-identical simulations, so dropping the salt lets them share one
+/// content-addressed run-cache entry — the reason a 10k-node fleet only
+/// simulates its few hundred distinct nodes. The scheduler's own placement
+/// provides the per-node heterogeneity a salt used to fake.
 fn sched_node_cfg(base: MachineConfig, phys_total: u64) -> MachineConfig {
     let mut cfg = base;
     cfg.node_salt = 0;
@@ -1584,16 +1553,10 @@ pub fn run_fleet(
 /// [`FleetFaultPlan`] (node crashes, flapping probe endpoints, delayed
 /// placements, scheduler restarts) — the one fleet executor.
 ///
-/// With `fleet.scheduler == false` this is exactly
-/// [`crate::cluster::run_cluster`] over the fleet's node sizes: every node
-/// runs the full schedule (with the scenario's own fault plan) and per-app
-/// completion is the slowest node. That path has no placement decisions to
-/// disrupt, so `plan` must be empty.
-///
-/// With the scheduler on (requires an M3 `setting` — placement reacts to
-/// monitor pressure), each job is admitted onto one node, and the returned
-/// [`ClusterResult`] holds final-node runtimes measured from each job's
-/// *arrival*. Node faults are the scheduler's own (migration and node-loss
+/// Requires an M3 `setting` (placement reacts to monitor pressure); static
+/// baselines run through [`crate::cluster::run_cluster`]. Each job is
+/// admitted onto one node, and the returned [`ClusterResult`] holds
+/// final-node runtimes measured from each job's *arrival*. Node faults are the scheduler's own (migration and node-loss
 /// crashes), so the scenario must carry none. The returned
 /// [`FleetResult::degradation`] accounts what the fleet faults cost;
 /// [`FleetOracle`]'s recovery invariants run on every trace.
@@ -1610,31 +1573,10 @@ pub fn run_fleet_faulted_with_workers(
     workers: usize,
 ) -> FleetResult {
     assert!(!fleet.nodes.is_empty(), "need at least one node");
-    if !fleet.scheduler {
-        assert!(
-            plan.is_empty(),
-            "fleet faults need the scheduler; passthrough mode has no \
-             placement decisions to disrupt"
-        );
-        let node_cfgs = fleet
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| node_machine_cfg(machine_cfg, i, n.phys_total))
-            .collect();
-        let cluster = run_cluster_nodes(scenario, setting, node_cfgs);
-        return FleetResult {
-            cluster,
-            jobs: Vec::new(),
-            trace: TraceLog::new(),
-            violations: Vec::new(),
-            degradation: FleetDegradationReport::default(),
-        };
-    }
     assert!(
         setting.is_m3(),
         "the fleet scheduler places by monitor pressure; run static \
-         baselines with `scheduler: false`"
+         baselines with `run_cluster`"
     );
     assert!(
         scenario.faults.is_empty(),
@@ -1872,20 +1814,6 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_mode_emits_no_fleet_events() {
-        let scenario = Scenario::uniform("M", 0);
-        let res = run_fleet(
-            &scenario,
-            &Setting::m3(1),
-            quick_cfg(),
-            &FleetConfig::passthrough(2),
-        );
-        assert!(res.trace.is_empty());
-        assert!(res.jobs.is_empty());
-        assert_eq!(res.cluster.per_node_s[0].len(), 2);
-    }
-
-    #[test]
     fn idle_node_probes_never_simulate() {
         // An idle node's probe answers from the precomputed per-size
         // summary: no probe simulation is cached (or run) for it, and the
@@ -1967,7 +1895,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scheduler: false")]
+    #[should_panic(expected = "baselines with `run_cluster`")]
     fn scheduler_mode_rejects_static_settings() {
         let scenario = Scenario::uniform("M", 0);
         run_fleet(

@@ -56,7 +56,10 @@ M3_RECLAIM_PACKETS_SALTS=4 M3_RECLAIM_PACKETS_BUDGET_S=60 \
     M3_RESULTS_DIR=target/ci-results \
     cargo bench -p m3-bench --bench reclaim_packets
 cargo clippy --workspace --all-targets -- -D warnings
+# The benchmark package is its own workspace: lint and format-check it too.
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 # Rustdoc must build warning-free, so broken intra-doc links and links to
 # private items fail the gate (the trace schema's docs are macro-generated).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo fmt --check
+cargo fmt --check --manifest-path benchmark/Cargo.toml

@@ -1,7 +1,6 @@
 //! Fleet scheduler integration suite.
 //!
-//! End-to-end checks of the pressure-aware cluster scheduler: the
-//! passthrough mode must reproduce `run_cluster` bit for bit, conformant
+//! End-to-end checks of the pressure-aware cluster scheduler: conformant
 //! runs must pass the cluster oracle with zero violations, the canonical
 //! fleet trace is pinned by a golden snapshot, and fleet runs are
 //! deterministic and memoized.
@@ -34,30 +33,6 @@ fn fleet3() -> FleetConfig {
     let mut fleet = FleetConfig::homogeneous(3, 64 * GIB);
     fleet.rebalance_checks = 10;
     fleet
-}
-
-#[test]
-fn scheduler_off_reproduces_run_cluster_exactly() {
-    // With the scheduler disabled every node runs the full schedule, which
-    // must be indistinguishable — serialized bytes included — from the
-    // legacy cluster path on the paper's eight workers.
-    let scenario = fleet_canonical();
-    let setting = Setting::m3(scenario.len());
-    let via_fleet = run_fleet(
-        &scenario,
-        &setting,
-        machine(),
-        &FleetConfig::passthrough(PAPER_NODES),
-    );
-    let via_cluster = run_cluster(&scenario, &setting, machine(), PAPER_NODES);
-    assert_eq!(
-        serde_json::to_string(&via_fleet.cluster).unwrap(),
-        serde_json::to_string(&via_cluster).unwrap(),
-        "passthrough fleet must reproduce run_cluster bit for bit"
-    );
-    assert!(via_fleet.jobs.is_empty());
-    assert!(via_fleet.trace.is_empty());
-    assert!(via_fleet.violations.is_empty());
 }
 
 #[test]
