@@ -14,14 +14,12 @@
 //! `M3_FLEET_CHAOS_BUDGET_S` asserts a per-point wall-clock budget;
 //! `M3_JOBS` sets the worker count.
 
-use m3_bench::{env, fmt_runtime, render_table, BenchTimer};
+use m3_bench::{env, fleet_machine, fmt_runtime, quarter_small_fleet, render_table, BenchTimer};
 use m3_sim::clock::SimDuration;
-use m3_sim::units::GIB;
 use m3_sim::SimRng;
 use m3_workloads::cluster::ClusterMean;
 use m3_workloads::faults::FleetFaultPlan;
-use m3_workloads::fleet::{run_fleet_faulted_with_workers, FleetConfig, NodeSpec};
-use m3_workloads::machine::MachineConfig;
+use m3_workloads::fleet::run_fleet_faulted_with_workers;
 use m3_workloads::scenario::fleet_scale_scenario;
 use m3_workloads::settings::Setting;
 use m3_workloads::worker_threads;
@@ -58,26 +56,6 @@ struct ChaosRow {
     completion_rate: f64,
     mean_runtime_s: Option<f64>,
     violations: usize,
-}
-
-fn machine() -> MachineConfig {
-    let mut cfg = MachineConfig::stock_64gb();
-    cfg.sample_period = None;
-    cfg.capture_trace = false;
-    cfg.max_time = SimDuration::from_secs(40_000);
-    cfg
-}
-
-fn quarter_small_fleet(n: usize) -> FleetConfig {
-    let mut fleet = FleetConfig::homogeneous(n, 64 * GIB);
-    for (i, node) in fleet.nodes.iter_mut().enumerate() {
-        if i % 4 == 3 {
-            *node = NodeSpec {
-                phys_total: 32 * GIB,
-            };
-        }
-    }
-    fleet
 }
 
 /// Poisson-ish failure schedule for one MTBF point: the expected crash
@@ -120,8 +98,14 @@ fn main() {
         let plan = crash_plan(nodes, mtbf_s);
         let started = std::time::Instant::now();
         let workers = m3_workloads::worker_threads();
-        let res =
-            run_fleet_faulted_with_workers(&scenario, &setting, machine(), &fleet, &plan, workers);
+        let res = run_fleet_faulted_with_workers(
+            &scenario,
+            &setting,
+            fleet_machine(),
+            &fleet,
+            &plan,
+            workers,
+        );
         let wall_clock_s = started.elapsed().as_secs_f64();
         let ClusterMean {
             mean_secs,

@@ -15,12 +15,9 @@
 //! `M3_FLEET_SCALE_BUDGET_S` asserts a per-point wall-clock budget;
 //! `M3_JOBS` sets the worker count recorded in the report.
 
-use m3_bench::{env, fmt_runtime, render_table, BenchTimer};
-use m3_sim::clock::SimDuration;
-use m3_sim::units::GIB;
+use m3_bench::{env, fleet_machine, fmt_runtime, quarter_small_fleet, render_table, BenchTimer};
 use m3_workloads::cluster::{run_cluster, ClusterMean, ClusterResult, JobFailure};
-use m3_workloads::fleet::{fleet_cache_stats, run_fleet_cached, FleetConfig, NodeSpec};
-use m3_workloads::machine::MachineConfig;
+use m3_workloads::fleet::{fleet_cache_stats, run_fleet_cached, FleetConfig};
 use m3_workloads::parallel::{cache_stats, CacheStats};
 use m3_workloads::scenario::{fleet_canonical, fleet_scale_scenario, Scenario};
 use m3_workloads::settings::Setting;
@@ -47,28 +44,6 @@ struct FleetRow {
     node_cache_hits: u64,
     node_cache_misses: u64,
     node_cache_hit_rate: f64,
-}
-
-fn machine() -> MachineConfig {
-    let mut cfg = MachineConfig::stock_64gb();
-    cfg.sample_period = None;
-    cfg.capture_trace = false;
-    cfg.max_time = SimDuration::from_secs(40_000);
-    cfg
-}
-
-/// A fleet of `n` nodes where every fourth one is a small 32-GiB worker —
-/// heterogeneity the candidate index and admission control must respect.
-fn quarter_small_fleet(n: usize) -> FleetConfig {
-    let mut fleet = FleetConfig::homogeneous(n, 64 * GIB);
-    for (i, node) in fleet.nodes.iter_mut().enumerate() {
-        if i % 4 == 3 {
-            *node = NodeSpec {
-                phys_total: 32 * GIB,
-            };
-        }
-    }
-    fleet
 }
 
 impl FleetRow {
@@ -121,7 +96,7 @@ fn timed<T>(run: impl FnOnce() -> T) -> (T, f64, CacheStats) {
 fn run_row(scenario: &Scenario, fleet: &FleetConfig) -> FleetRow {
     let setting = Setting::m3(scenario.len());
     let (res, wall_clock_s, cache) =
-        timed(|| run_fleet_cached(scenario, &setting, machine(), fleet));
+        timed(|| run_fleet_cached(scenario, &setting, fleet_machine(), fleet));
     let nodes = fleet.nodes.len();
     FleetRow {
         deferrals: res.jobs.iter().map(|j| j.deferrals as u64).sum(),
@@ -141,7 +116,7 @@ fn run_row(scenario: &Scenario, fleet: &FleetConfig) -> FleetRow {
 fn replicated_row(scenario: &Scenario, nodes: usize) -> FleetRow {
     let setting = Setting::m3(scenario.len());
     let (cluster, wall_clock_s, cache) =
-        timed(|| run_cluster(scenario, &setting, machine(), nodes));
+        timed(|| run_cluster(scenario, &setting, fleet_machine(), nodes));
     FleetRow::new(scenario, nodes, false, &cluster, wall_clock_s, cache)
 }
 

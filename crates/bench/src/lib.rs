@@ -5,13 +5,41 @@
 //! regenerates the full evaluation. Each harness prints the same rows or
 //! series the paper reports and writes a JSON dump under `results/` for
 //! re-plotting. This library holds the small shared pieces: table
-//! rendering, profile summarisation, and the results-directory writer.
+//! rendering, profile summarisation, the results-directory writer, and the
+//! fleet benches' node and fleet shapes.
 
 use m3_sim::clock::SimDuration;
 use m3_sim::metrics::Profile;
+use m3_sim::units::GIB;
+use m3_workloads::fleet::{FleetConfig, NodeSpec};
+use m3_workloads::machine::MachineConfig;
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+
+/// The fleet benches' node: a stock 64-GiB machine with profile sampling
+/// and the node trace off (`Setting::m3` resolves its monitor).
+pub fn fleet_machine() -> MachineConfig {
+    let mut cfg = MachineConfig::stock_64gb();
+    cfg.sample_period = None;
+    cfg.capture_trace = false;
+    cfg.max_time = SimDuration::from_secs(40_000);
+    cfg
+}
+
+/// A fleet of `n` nodes where every fourth one is a small 32-GiB worker —
+/// heterogeneity the candidate index and admission control must respect.
+pub fn quarter_small_fleet(n: usize) -> FleetConfig {
+    let mut fleet = FleetConfig::homogeneous(n, 64 * GIB);
+    for (i, node) in fleet.nodes.iter_mut().enumerate() {
+        if i % 4 == 3 {
+            *node = NodeSpec {
+                phys_total: 32 * GIB,
+            };
+        }
+    }
+    fleet
+}
 
 /// Renders an aligned text table.
 ///

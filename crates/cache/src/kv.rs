@@ -18,12 +18,13 @@ use m3_os::{Kernel, Pid};
 use m3_runtime::{GoConfig, GoRuntime, NativeAllocator};
 use m3_sim::clock::{SimDuration, SimTime};
 use m3_sim::trace::{EvictReason, TraceData};
+use m3_sim::units::{GIB, MIB};
 use serde::{Deserialize, Serialize};
 
 use crate::slab::SlabCache;
 use crate::store::KeyedSlabCache;
-use crate::trace::{TraceGen, TraceOpKind, TraceWorkload};
-use crate::workload::KvWorkload;
+use crate::trace::{TraceGen, TraceOpKind, TraceWorkload, PRELOAD_FRACTION};
+use crate::workload::{KvWorkload, HIT_US, ITEM_BYTES, MISS_EXTRA_US};
 
 /// `NUM_epochs` for cache stacks (§4.2: 5 for Go-Cache and Memcached).
 pub const CACHE_NUM_EPOCHS: u32 = 5;
@@ -41,6 +42,20 @@ const TRACE_BATCH: u64 = 4096;
 /// Short traces snapshot every tenth of the run instead, so even a server
 /// the OOM killer takes down early leaves progress counters in the trace.
 const TRACE_STATS_EVERY: u64 = 1_000_000;
+
+/// Slab size of the analytic store (contiguous page run returned to the OS
+/// whole).
+const SLAB_BYTES: u64 = MIB;
+
+/// Preload ingest rate, bytes per second of driver time. Shared by the
+/// analytic and trace paths.
+const PRELOAD_BYTES_PER_SEC: u64 = GIB;
+
+/// Service cost of a trace SET, microseconds.
+const SET_US: u64 = 60;
+
+/// Service cost of a trace DELETE, microseconds.
+const DELETE_US: u64 = 25;
 
 /// The periodic snapshot interval for a trace of `total_ops` requests.
 fn trace_stats_every(total_ops: u64) -> u64 {
@@ -199,7 +214,7 @@ impl KvApp {
         wl.validate();
         let cap = if m3_mode { u64::MAX / 2 } else { max_bytes };
         KvApp {
-            slabs: SlabCache::new(wl.key_space, wl.item_bytes, wl.slab_bytes, cap),
+            slabs: SlabCache::new(wl.key_space, ITEM_BYTES, SLAB_BYTES, cap),
             backend,
             wl,
             engine: None,
@@ -239,10 +254,8 @@ impl KvApp {
         // `progress()` and inspection accessors meaningful.
         let wl = KvWorkload {
             key_space: twl.key_space,
-            preload_fraction: twl.preload_fraction,
+            preload_fraction: PRELOAD_FRACTION,
             total_requests: twl.total_ops,
-            preload_bytes_per_sec: twl.preload_bytes_per_sec,
-            ..KvWorkload::paper_memtier()
         };
         let mut app = KvApp::new(backend, wl, max_bytes, m3_mode);
         app.engine = Some(Box::new(TraceEngine {
@@ -397,13 +410,13 @@ impl KvApp {
             self.phase = Phase::Serve;
             return 0;
         }
-        let bytes_per_us = self.wl.preload_bytes_per_sec as f64 / 1e6;
-        let max_items = ((budget_us as f64 * bytes_per_us) / self.wl.item_bytes as f64) as u64;
+        let bytes_per_us = PRELOAD_BYTES_PER_SEC as f64 / 1e6;
+        let max_items = ((budget_us as f64 * bytes_per_us) / ITEM_BYTES as f64) as u64;
         let n = max_items.min(target - self.preloaded).clamp(1, MAX_BATCH);
         let pause = self.insert_items(os, now, n);
         self.debt += pause;
         self.preloaded += n;
-        let spent = (n * self.wl.item_bytes) as f64 / bytes_per_us;
+        let spent = (n * ITEM_BYTES) as f64 / bytes_per_us;
         (spent as u64).max(1)
     }
 
@@ -502,7 +515,7 @@ impl KvApp {
             self.phase = Phase::Serve;
             return 0;
         }
-        let budget_bytes = (budget_us * twl.preload_bytes_per_sec / 1_000_000).max(1);
+        let budget_bytes = (budget_us * PRELOAD_BYTES_PER_SEC / 1_000_000).max(1);
         let mut fx = BatchFx::default();
         let mut loaded = 0;
         while self.preloaded + loaded < target
@@ -520,7 +533,7 @@ impl KvApp {
             loaded += 1;
         }
         self.preloaded += loaded;
-        let spent = fx.chunk_bytes * 1_000_000 / twl.preload_bytes_per_sec;
+        let spent = fx.chunk_bytes * 1_000_000 / PRELOAD_BYTES_PER_SEC;
         let pause = self.trace_settle(os, now, fx);
         self.debt += pause;
         spent.max(1)
@@ -563,7 +576,7 @@ impl KvApp {
                 TraceOpKind::Get { negative } => {
                     if e.store.get(op.fp) {
                         self.stats.hits += 1;
-                        twl.hit_us
+                        HIT_US
                     } else {
                         self.stats.misses += 1;
                         if negative {
@@ -578,7 +591,7 @@ impl KvApp {
                             fx.new_slabs += out.new_slabs;
                             fx.freed_slabs += out.freed_slabs;
                         }
-                        twl.hit_us + twl.miss_extra_us
+                        HIT_US + MISS_EXTRA_US
                     }
                 }
                 TraceOpKind::Set => {
@@ -590,12 +603,12 @@ impl KvApp {
                     }
                     fx.new_slabs += out.new_slabs;
                     fx.freed_slabs += out.freed_slabs;
-                    twl.set_us
+                    SET_US
                 }
                 TraceOpKind::Delete => {
                     e.deletes += 1;
                     e.store.delete(op.fp);
-                    twl.delete_us
+                    DELETE_US
                 }
             };
             self.stats.requests_done += 1;
@@ -898,7 +911,6 @@ mod tests {
             key_space: 100_000,
             preload_fraction: 0.85,
             total_requests: 200_000,
-            ..KvWorkload::paper_gocache()
         }
     }
 
@@ -1097,7 +1109,7 @@ mod tests {
         let (mut os, mut app) = setup_go(false, app_bytes(0.3));
         run(&mut os, &mut app);
         assert!(
-            app.slabs().resident_bytes() <= app.slabs().max_bytes() + app.workload().slab_bytes,
+            app.slabs().resident_bytes() <= app.slabs().max_bytes() + SLAB_BYTES,
             "stock cache must stay at its static size"
         );
         assert!(app.slabs().evicted_slabs > 0);

@@ -36,6 +36,21 @@ const NEGATIVE_SALT: u64 = 0xDEAD_BEEF_CAFE_F00D;
 /// Salt for the per-key value-size hash.
 const TIER_SALT: u64 = 0x5151_5151_A5A5_A5A5;
 
+/// Zipf skew (Snippet 3: ~1.2 for Twitter cache traces).
+const ZIPF_ALPHA: f64 = 1.2;
+
+/// GETs per 1000 ops (Snippet 3: 900).
+const GET_PER_MILLE: u16 = 900;
+
+/// SETs per 1000 ops (Snippet 3: 70); the rest are DELETEs.
+const SET_PER_MILLE: u16 = 70;
+
+/// Negative lookups per 1000 GETs (Snippet 3: ~50).
+const NEGATIVE_PER_MILLE: u16 = 50;
+
+/// Fraction of the key space preloaded (most popular ranks first).
+pub(crate) const PRELOAD_FRACTION: f64 = 0.30;
+
 /// SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
@@ -67,32 +82,12 @@ pub struct TraceWorkload {
     pub key_space: u64,
     /// Total operations in the measured phase.
     pub total_ops: u64,
-    /// Zipf skew (Snippet 3: ~1.2 for Twitter cache traces).
-    pub zipf_alpha: f64,
-    /// GETs per 1000 ops (Snippet 3: 900).
-    pub get_per_mille: u16,
-    /// SETs per 1000 ops (Snippet 3: 70); the rest are DELETEs.
-    pub set_per_mille: u16,
-    /// Negative lookups per 1000 GETs (Snippet 3: ~50).
-    pub negative_per_mille: u16,
-    /// Fraction of the key space preloaded (most popular ranks first).
-    pub preload_fraction: f64,
     /// Trace seed: same seed, same ops, bit for bit.
     pub seed: u64,
     /// Phase schedule.
     pub pattern: TrafficPattern,
     /// Ops per schedule window (surge period, diurnal day, shift epoch).
     pub phase_ops: u64,
-    /// Service cost of a GET hit, microseconds.
-    pub hit_us: u64,
-    /// Extra cost of a miss (backend fetch + fill), microseconds.
-    pub miss_extra_us: u64,
-    /// Service cost of a SET, microseconds.
-    pub set_us: u64,
-    /// Service cost of a DELETE, microseconds.
-    pub delete_us: u64,
-    /// Preload fill rate, bytes per second.
-    pub preload_bytes_per_sec: u64,
 }
 
 impl TraceWorkload {
@@ -101,19 +96,9 @@ impl TraceWorkload {
         TraceWorkload {
             key_space: 1_200_000,
             total_ops: 10_000_000,
-            zipf_alpha: 1.2,
-            get_per_mille: 900,
-            set_per_mille: 70,
-            negative_per_mille: 50,
-            preload_fraction: 0.30,
             seed: 0x7261_6365, // "race"
             pattern,
             phase_ops: 2_500_000,
-            hit_us: 40,
-            miss_extra_us: 330,
-            set_us: 60,
-            delete_us: 25,
-            preload_bytes_per_sec: m3_sim::units::GIB,
         }
     }
 
@@ -131,24 +116,12 @@ impl TraceWorkload {
     pub fn validate(&self) {
         assert!(self.key_space > 0, "key space must be positive");
         assert!(self.total_ops > 0, "trace must contain ops");
-        assert!(self.zipf_alpha > 0.0, "zipf alpha must be positive");
-        assert!(
-            self.get_per_mille as u32 + self.set_per_mille as u32 <= 1000,
-            "op mix exceeds 1000 per mille"
-        );
-        assert!(self.negative_per_mille <= 1000, "negative share per mille");
-        assert!(
-            (0.0..=1.0).contains(&self.preload_fraction),
-            "preload fraction in [0,1]"
-        );
         assert!(self.phase_ops > 0, "phase window must be positive");
-        assert!(self.hit_us > 0, "hit cost must be positive");
-        assert!(self.preload_bytes_per_sec > 0, "preload rate positive");
     }
 
     /// Items preloaded before the measured phase (most popular first).
     pub fn preload_items(&self) -> u64 {
-        ((self.key_space as f64 * self.preload_fraction) as u64).min(self.key_space)
+        ((self.key_space as f64 * PRELOAD_FRACTION) as u64).min(self.key_space)
     }
 
     /// The fingerprint of key id `key` (0-based).
@@ -372,7 +345,7 @@ impl TraceGen {
     pub fn new(wl: TraceWorkload) -> Self {
         wl.validate();
         TraceGen {
-            zipf: ZipfSampler::new(wl.key_space, wl.zipf_alpha),
+            zipf: ZipfSampler::new(wl.key_space, ZIPF_ALPHA),
             rng: SimRng::new(wl.seed ^ 0x74726163), // "trac"
             wl,
             next_op: 0,
@@ -408,8 +381,8 @@ impl Iterator for TraceGen {
         self.next_op += 1;
         let pace = self.wl.pace(i);
         let mix = self.rng.gen_range(1000) as u16;
-        let (kind, fp) = if mix < self.wl.get_per_mille {
-            let negative = (self.rng.gen_range(1000) as u16) < self.wl.negative_per_mille;
+        let (kind, fp) = if mix < GET_PER_MILLE {
+            let negative = (self.rng.gen_range(1000) as u16) < NEGATIVE_PER_MILLE;
             let rank = self.zipf.sample(&mut self.rng);
             let fp = if negative {
                 self.wl.negative_fp(rank)
@@ -420,7 +393,7 @@ impl Iterator for TraceGen {
         } else {
             let rank = self.zipf.sample(&mut self.rng);
             let fp = self.wl.fp_of(self.wl.key_of_rank(rank, i));
-            if mix < self.wl.get_per_mille + self.wl.set_per_mille {
+            if mix < GET_PER_MILLE + SET_PER_MILLE {
                 (TraceOpKind::Set, fp)
             } else {
                 (TraceOpKind::Delete, fp)

@@ -1,7 +1,20 @@
 //! The cache benchmark workload description (§7.1.1).
 
-use m3_sim::units::{GIB, KIB, MIB};
+use m3_sim::units::KIB;
 use serde::{Deserialize, Serialize};
+
+/// Bytes per item of the analytic slab cache.
+pub(crate) const ITEM_BYTES: u64 = 4 * KIB;
+
+/// Service cost of a GET hit, in microseconds of driver time (absorbs the
+/// benchmark's request concurrency). Shared by the analytic and trace
+/// paths.
+pub(crate) const HIT_US: u64 = 40;
+
+/// Extra cost of a miss, microseconds: the simulated 1 ms backend lookup
+/// divided by the goroutine concurrency that overlaps it, plus the put.
+/// Shared by the analytic and trace paths.
+pub(crate) const MISS_EXTRA_US: u64 = 330;
 
 /// A memtier-like uniform-random get/put benchmark over a key space.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -13,18 +26,6 @@ pub struct KvWorkload {
     pub preload_fraction: f64,
     /// Measured get requests (the paper: 6.5 million).
     pub total_requests: u64,
-    /// Bytes per item.
-    pub item_bytes: u64,
-    /// Slab size (contiguous page run returned to the OS whole).
-    pub slab_bytes: u64,
-    /// Service cost of a hit, in microseconds of driver time (absorbs the
-    /// benchmark's request concurrency).
-    pub hit_us: u64,
-    /// Extra cost of a miss: the simulated 1 ms backend lookup divided by
-    /// the goroutine concurrency that overlaps it, plus the put.
-    pub miss_extra_us: u64,
-    /// Preload ingest rate, bytes per second of driver time.
-    pub preload_bytes_per_sec: u64,
 }
 
 impl KvWorkload {
@@ -35,11 +36,6 @@ impl KvWorkload {
             key_space: 12_000_000,
             preload_fraction: 0.85,
             total_requests: 6_500_000,
-            item_bytes: 4 * KIB,
-            slab_bytes: MIB,
-            hit_us: 40,
-            miss_extra_us: 330,
-            preload_bytes_per_sec: GIB,
         }
     }
 
@@ -50,11 +46,6 @@ impl KvWorkload {
             key_space: 1_500_000,
             preload_fraction: 0.85,
             total_requests: 2_000_000,
-            item_bytes: 4 * KIB,
-            slab_bytes: MIB,
-            hit_us: 40,
-            miss_extra_us: 330,
-            preload_bytes_per_sec: GIB,
         }
     }
 
@@ -65,13 +56,13 @@ impl KvWorkload {
 
     /// Peak resident bytes if nothing is ever evicted.
     pub fn full_bytes(&self) -> u64 {
-        self.key_space * self.item_bytes
+        self.key_space * ITEM_BYTES
     }
 
     /// Expected per-request cost in microseconds at hit ratio `h`.
     pub fn request_cost_us(&self, h: f64) -> f64 {
         let h = h.clamp(0.0, 1.0);
-        self.hit_us as f64 + (1.0 - h) * self.miss_extra_us as f64
+        HIT_US as f64 + (1.0 - h) * MISS_EXTRA_US as f64
     }
 
     /// Validates ranges.
@@ -85,21 +76,13 @@ impl KvWorkload {
             (0.0..=1.0).contains(&self.preload_fraction),
             "preload in [0,1]"
         );
-        assert!(
-            self.item_bytes > 0 && self.slab_bytes >= self.item_bytes,
-            "sizes"
-        );
-        assert!(self.hit_us > 0, "hit cost must be positive");
-        assert!(
-            self.preload_bytes_per_sec > 0,
-            "preload rate must be positive"
-        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m3_sim::units::GIB;
 
     #[test]
     fn paper_numbers() {
@@ -116,9 +99,9 @@ mod tests {
     fn request_cost_decreases_with_hit_ratio() {
         let w = KvWorkload::paper_gocache();
         assert!(w.request_cost_us(1.0) < w.request_cost_us(0.5));
-        assert_eq!(w.request_cost_us(1.0), w.hit_us as f64);
-        assert_eq!(w.request_cost_us(0.0), (w.hit_us + w.miss_extra_us) as f64);
+        assert_eq!(w.request_cost_us(1.0), HIT_US as f64);
+        assert_eq!(w.request_cost_us(0.0), (HIT_US + MISS_EXTRA_US) as f64);
         // Clamped outside [0, 1].
-        assert_eq!(w.request_cost_us(2.0), w.hit_us as f64);
+        assert_eq!(w.request_cost_us(2.0), HIT_US as f64);
     }
 }

@@ -9,9 +9,11 @@ use crate::selection::SortOrder;
 /// All tunables of the M3 monitor.
 ///
 /// The defaults mirror the paper's evaluation machine (§6): top of memory at
-/// 62 GB of 64 GB, thresholds initialised to 50/55 GB, both ratio targets
-/// 1:32 over a 32-poll sliding window, 2 % adjustment steps, one-second
-/// polling.
+/// 62 GB of 64 GB, thresholds initialised to 50/55 GB and 2 % adjustment
+/// steps. The §6 parameters no evaluation varies are constants: one-second
+/// polling ([`crate::monitor::POLL_PERIOD`]), both ratio targets 1:32 over a
+/// 32-poll sliding window (in [`crate::thresholds`]), and the degraded-mode
+/// margin ([`crate::monitor::DEGRADED_MARGIN_FRACTION`]).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct MonitorConfig {
     /// Top of memory: the acceptable application memory ceiling, at or just
@@ -22,14 +24,6 @@ pub struct MonitorConfig {
     pub initial_low: u64,
     /// Initial high threshold.
     pub initial_high: u64,
-    /// Monitor polling period (`MemAvailable` is read once per period).
-    pub poll_period: SimDuration,
-    /// Sliding window length, in polls, over which the above/below ratios
-    /// are computed.
-    pub window: usize,
-    /// Target ratio of time above : below the high threshold (resp. the
-    /// top), expressed as the "above" share, e.g. `1.0 / 32.0`.
-    pub ratio_target: f64,
     /// Threshold adjustment step as a fraction of `top`.
     pub step_fraction: f64,
     /// Algorithm 1 sort order (the paper's evaluation uses newest-first).
@@ -50,10 +44,6 @@ pub struct MonitorConfig {
     /// Upper bound, in polls, of the watchdog's exponential re-signal
     /// backoff for escalated participants.
     pub watchdog_backoff_max: u32,
-    /// Degraded-mode polling: each consecutive failed meminfo read widens
-    /// the red-zone margin by this fraction of `top` (thresholds are pulled
-    /// down), so enforcement turns conservative instead of stopping.
-    pub degraded_margin_fraction: f64,
     /// Ablation switch: if true, Algorithm 1 ignores criticality classes
     /// and sorts by posture alone (the paper's original ordering). Under a
     /// mixed-criticality load this is exactly the broken policy the
@@ -79,9 +69,6 @@ impl MonitorConfig {
             top: phys_total / 32 * 31,
             initial_low: phys_total / 32 * 25,
             initial_high: phys_total / 32 * 27,
-            poll_period: SimDuration::from_secs(1),
-            window: 32,
-            ratio_target: 1.0 / 32.0,
             step_fraction: 0.02,
             sort_order: SortOrder::NewestFirst,
             kill_timeout: SimDuration::from_secs(30),
@@ -89,7 +76,6 @@ impl MonitorConfig {
             signal_all: false,
             watchdog_polls: 5,
             watchdog_backoff_max: 8,
-            degraded_margin_fraction: 0.02,
             crit_blind: false,
         }
     }
@@ -104,27 +90,17 @@ impl MonitorConfig {
     /// # Panics
     ///
     /// Panics if thresholds are not ordered `low <= high <= top` or the
-    /// window/ratio are degenerate. Call once at construction sites.
+    /// watchdog settings are degenerate. Call once at construction sites.
     pub fn validate(&self) {
         assert!(
             self.initial_low <= self.initial_high,
             "low must not exceed high"
         );
         assert!(self.initial_high <= self.top, "high must not exceed top");
-        assert!(self.window > 0, "window must be non-empty");
-        assert!(
-            self.ratio_target > 0.0 && self.ratio_target < 1.0,
-            "ratio target must be in (0, 1)"
-        );
-        assert!(!self.poll_period.is_zero(), "poll period must be positive");
         assert!(self.watchdog_polls > 0, "watchdog needs at least one poll");
         assert!(
             self.watchdog_backoff_max >= 1,
             "backoff cap must allow re-signalling"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.degraded_margin_fraction),
-            "degraded margin fraction must be in [0, 1)"
         );
     }
 }
@@ -139,9 +115,9 @@ mod tests {
         assert_eq!(c.top, 62 * GIB);
         assert_eq!(c.initial_low, 50 * GIB);
         assert_eq!(c.initial_high, 55 * GIB);
-        assert_eq!(c.window, 32);
-        assert!((c.ratio_target - 1.0 / 32.0).abs() < 1e-12);
-        assert_eq!(c.poll_period, SimDuration::from_secs(1));
+        assert_eq!(crate::thresholds::WINDOW, 32);
+        assert!((crate::thresholds::RATIO_TARGET - 1.0 / 32.0).abs() < 1e-12);
+        assert_eq!(crate::monitor::POLL_PERIOD, SimDuration::from_secs(1));
         assert!((c.step_fraction - 0.02).abs() < 1e-12);
         assert_eq!(c.sort_order, SortOrder::NewestFirst);
         assert!(c.adaptive);

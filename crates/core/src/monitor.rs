@@ -10,7 +10,7 @@
 //! Algorithm 1 ordering — until usage drops below top.
 
 use m3_os::{Kernel, Pid, Signal};
-use m3_sim::clock::SimTime;
+use m3_sim::clock::{SimDuration, SimTime};
 use m3_sim::trace::{Criticality, ThresholdSide, TraceData, TraceZone};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -135,6 +135,16 @@ struct WatchdogEntry {
 /// How many failed reads the degraded-mode margin keeps widening for
 /// (public so the conformance oracle can replay degraded-mode zoning).
 pub const MAX_DEGRADED_WIDENING: u32 = 5;
+
+/// Degraded-mode polling: each consecutive failed meminfo read widens the
+/// red-zone margin by this fraction of `top` (thresholds are pulled down),
+/// so enforcement turns conservative instead of stopping. Public so the
+/// conformance oracle can replay degraded-mode zoning.
+pub const DEGRADED_MARGIN_FRACTION: f64 = 0.02;
+
+/// Monitor polling period: `MemAvailable` is read once per period (§6: one
+/// second). Public because the machine's world loop schedules the polls.
+pub const POLL_PERIOD: SimDuration = SimDuration::from_secs(1);
 
 /// The M3 monitor.
 #[derive(Debug)]
@@ -348,7 +358,7 @@ impl Monitor {
             }
         }
         let margin = if degraded {
-            let step = (self.cfg.top as f64 * self.cfg.degraded_margin_fraction) as u64;
+            let step = (self.cfg.top as f64 * DEGRADED_MARGIN_FRACTION) as u64;
             step * u64::from(self.failed_reads.min(MAX_DEGRADED_WIDENING))
         } else {
             0

@@ -22,6 +22,14 @@ use std::collections::VecDeque;
 
 use crate::config::MonitorConfig;
 
+/// Sliding window length, in polls, over which the above/below ratios are
+/// computed (§6: 32 polls).
+pub(crate) const WINDOW: usize = 32;
+
+/// Target ratio of time above : below the high threshold (resp. the top),
+/// expressed as the "above" share (§6: 1:32).
+pub(crate) const RATIO_TARGET: f64 = 1.0 / 32.0;
+
 /// One poll's classification, as remembered by the sliding window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct PollRecord {
@@ -48,8 +56,6 @@ pub struct AdaptiveThresholds {
     high: u64,
     top: u64,
     step: u64,
-    ratio_target: f64,
-    window: usize,
     adaptive: bool,
     records: VecDeque<PollRecord>,
 }
@@ -63,10 +69,8 @@ impl AdaptiveThresholds {
             high: cfg.initial_high,
             top: cfg.top,
             step: cfg.step(),
-            ratio_target: cfg.ratio_target,
-            window: cfg.window,
             adaptive: cfg.adaptive,
-            records: VecDeque::with_capacity(cfg.window),
+            records: VecDeque::with_capacity(WINDOW),
         }
     }
 
@@ -107,24 +111,24 @@ impl AdaptiveThresholds {
     /// Adjustments only happen once the window is full, so early polls do
     /// not whipsaw the thresholds.
     pub fn observe(&mut self, used: u64) -> ThresholdUpdate {
-        if self.records.len() == self.window {
+        if self.records.len() == WINDOW {
             self.records.pop_front();
         }
         self.records.push_back(PollRecord {
             above_high: used > self.high,
             above_top: used > self.top,
         });
-        if !self.adaptive || self.records.len() < self.window {
+        if !self.adaptive || self.records.len() < WINDOW {
             return ThresholdUpdate::default();
         }
         let (low0, high0) = (self.low, self.high);
 
         // Low threshold: temper how often the high threshold is reached.
         let red = self.red_fraction();
-        if red > self.ratio_target && used > self.high {
+        if red > RATIO_TARGET && used > self.high {
             // Reached high too often and pressure persists: warn earlier.
             self.low = self.low.saturating_sub(self.step);
-        } else if red < self.ratio_target && used >= self.low {
+        } else if red < RATIO_TARGET && used >= self.low {
             // High rarely reached and the low threshold is actually in play:
             // relax it to avoid unnecessary signals.
             self.low = (self.low + self.step).min(self.high);
@@ -135,11 +139,11 @@ impl AdaptiveThresholds {
         // zone, so the raise guard is "usage at least at the low threshold"
         // (in green nothing adjusts: memory is simply not in demand).
         let over_top = self.above_top_fraction();
-        if over_top > self.ratio_target && used > self.top {
+        if over_top > RATIO_TARGET && used > self.top {
             // Operating above top too often: signal sooner. (This does not
             // change how much is reclaimed, only when reclamation starts.)
             self.high = self.high.saturating_sub(self.step).max(self.low);
-        } else if over_top < self.ratio_target && used >= self.low {
+        } else if over_top < RATIO_TARGET && used >= self.low {
             // Never reaching top: utilization headroom exists, raise high —
             // but keep one step of red band below top, so Algorithm 1's
             // selective notification still has room to act before the
@@ -317,14 +321,6 @@ mod tests {
         // A green-zone poll moves nothing and reports nothing.
         let red_gone: Vec<ThresholdUpdate> = (0..32).map(|_| t.observe(GIB)).collect();
         assert_eq!(*red_gone.last().unwrap(), ThresholdUpdate::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be non-empty")]
-    fn zero_width_window_fails_construction() {
-        let mut c = cfg();
-        c.window = 0;
-        AdaptiveThresholds::new(&c);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Spark configuration surface (the paper's tuning knobs).
 
 use m3_core::RateCurve;
-use m3_sim::units::MIB;
 use serde::{Deserialize, Serialize};
 
 /// The Spark parameters the paper tunes in the Oracle-with-Spark setting:
 /// `spark.memory.fraction` and `spark.memory.storageFraction` (§7.1.2),
-/// plus the block size of the cache.
+/// plus the M3 switches.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SparkConfig {
     /// `spark.memory.fraction`: share of the heap usable by Spark's unified
@@ -16,11 +15,6 @@ pub struct SparkConfig {
     /// `spark.memory.storageFraction`: share of the pool protected for
     /// storage against execution borrowing (default 0.5).
     pub storage_fraction: f64,
-    /// Size of one cached block (HDFS default 128 MiB).
-    pub block_size: u64,
-    /// Fraction of blocks evicted (LRU) on an M3 high-threshold signal
-    /// (the paper's modification evicts ⅛).
-    pub high_evict_fraction: f64,
     /// If true, the block cache is effectively unbounded and growth is
     /// governed by M3 signals (the paper's Spark modification).
     pub m3_mode: bool,
@@ -38,8 +32,6 @@ impl Default for SparkConfig {
         SparkConfig {
             memory_fraction: 0.6,
             storage_fraction: 0.5,
-            block_size: 128 * MIB,
-            high_evict_fraction: 1.0 / 8.0,
             m3_mode: false,
             gc_before_evict: false,
             rate_curve: RateCurve::Linear,
@@ -105,7 +97,7 @@ impl SparkConfig {
     ///
     /// # Panics
     ///
-    /// Panics if fractions are outside `[0, 1]` or the block size is zero.
+    /// Panics if fractions are outside `[0, 1]`.
     pub fn validate(&self) {
         assert!(
             (0.0..=1.0).contains(&self.memory_fraction),
@@ -115,26 +107,22 @@ impl SparkConfig {
             (0.0..=1.0).contains(&self.storage_fraction),
             "storageFraction in [0,1]"
         );
-        assert!(
-            (0.0..=1.0).contains(&self.high_evict_fraction),
-            "evict fraction in [0,1]"
-        );
-        assert!(self.block_size > 0, "block size must be positive");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3_sim::units::GIB;
+    use crate::spark::{BLOCK_SIZE, HIGH_EVICT_FRACTION};
+    use m3_sim::units::{GIB, MIB};
 
     #[test]
     fn defaults_match_spark() {
         let c = SparkConfig::default();
         assert!((c.memory_fraction - 0.6).abs() < 1e-12);
         assert!((c.storage_fraction - 0.5).abs() < 1e-12);
-        assert_eq!(c.block_size, 128 * MIB);
-        assert!((c.high_evict_fraction - 0.125).abs() < 1e-12);
+        assert_eq!(BLOCK_SIZE, 128 * MIB);
+        assert!((HIGH_EVICT_FRACTION - 0.125).abs() < 1e-12);
         c.validate();
     }
 

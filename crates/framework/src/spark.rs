@@ -22,6 +22,7 @@ use m3_runtime::{Jvm, JvmConfig, RuntimeError};
 use m3_sim::clock::{SimDuration, SimTime};
 use m3_sim::rng::SimRng;
 use m3_sim::trace::{EvictReason, TraceData};
+use m3_sim::units::MIB;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::BlockCache;
@@ -31,6 +32,13 @@ use crate::job::JobSpec;
 
 /// Bookkeeping cost of evicting one block from the cache.
 const EVICT_MS_PER_BLOCK: u64 = 5;
+
+/// Size of one cached block (HDFS default 128 MiB).
+pub(crate) const BLOCK_SIZE: u64 = 128 * MIB;
+
+/// Fraction of blocks evicted (LRU) on an M3 high-threshold signal (the
+/// paper's modification evicts ⅛).
+pub(crate) const HIGH_EVICT_FRACTION: f64 = 1.0 / 8.0;
 
 /// `NUM_epochs` for the Spark stack (§4.2: "We set this value to 1 in
 /// Spark ... because the Spark stack takes longer to reclaim memory").
@@ -108,12 +116,12 @@ impl SparkApp {
         };
         let jvm = Jvm::new(pid, jvm_cfg);
         let cache = BlockCache::new(cfg.storage_capacity(jvm_cfg.max_heap));
-        let num_blocks = job.num_blocks(cfg.block_size);
+        let num_blocks = job.num_blocks(BLOCK_SIZE);
         let failed = !cfg.m3_mode && jvm_cfg.max_heap < job.min_heap;
         let allocator = cfg
             .m3_mode
             .then(|| AdaptiveAllocator::with_curve(SPARK_NUM_EPOCHS, cfg.rate_curve));
-        let input = HdfsInput::new(job.input_bytes.max(1), cfg.block_size);
+        let input = HdfsInput::new(job.input_bytes.max(1), BLOCK_SIZE);
         let exec_penalty = cfg.execution_penalty(jvm_cfg.max_heap, job.exec_demand);
         let mut rng = SimRng::new(0x5AA5_0FF1 ^ pid ^ u64::from(num_blocks));
         let mut order: Vec<u32> = (0..num_blocks).collect();
@@ -181,7 +189,7 @@ impl SparkApp {
 
     /// Fraction of the job completed, in `[0, 1]`.
     pub fn progress(&self) -> f64 {
-        let total = self.job.total_visits(self.cfg.block_size);
+        let total = self.job.total_visits(BLOCK_SIZE);
         if total == 0 {
             return 1.0;
         }
@@ -255,7 +263,7 @@ impl SparkApp {
                 // First materialization: read this block's share of the
                 // on-disk input (the in-memory block is usually larger than
                 // its input slice — graph/feature expansion).
-                let num = u64::from(self.job.num_blocks(self.cfg.block_size));
+                let num = u64::from(self.job.num_blocks(BLOCK_SIZE));
                 let input_share = self.input.bytes / num.max(1);
                 disk.read_time(input_share, readers)
             } else {
@@ -306,7 +314,7 @@ impl SparkApp {
 
         self.stats.visits += 1;
         self.next_block += 1;
-        if self.next_block >= self.job.num_blocks(self.cfg.block_size) {
+        if self.next_block >= self.job.num_blocks(BLOCK_SIZE) {
             self.next_block = 0;
             self.iter += 1;
             self.rng.shuffle(&mut self.order);
@@ -340,7 +348,7 @@ impl SparkApp {
     /// the tail block of the *input* may be short but the in-memory block
     /// is the unit of caching).
     fn effective_block_bytes(&self, _id: u32) -> u64 {
-        self.cfg.block_size
+        BLOCK_SIZE
     }
 
     /// Inserts a freshly read block into the cache, applying either stock
@@ -459,7 +467,7 @@ impl SparkApp {
     /// (Table 1) and marks their bytes dead in the JVM.
     fn evict_high_packet(&mut self, os: &mut Kernel) -> PacketOutcome {
         let before = self.cache.len();
-        let freed = self.cache.evict_fraction(self.cfg.high_evict_fraction);
+        let freed = self.cache.evict_fraction(HIGH_EVICT_FRACTION);
         let evicted = (before - self.cache.len()) as u64;
         os.record_trace_with(self.jvm.pid(), || TraceData::EvictBlocks {
             before: before as u64,
@@ -475,7 +483,7 @@ impl SparkApp {
 
     /// Pure estimate of the bytes [`SparkApp::evict_high_packet`] will free.
     fn evict_high_estimate(&self) -> u64 {
-        (self.cache.used() as f64 * self.cfg.high_evict_fraction) as u64
+        (self.cache.used() as f64 * HIGH_EVICT_FRACTION) as u64
     }
 }
 

@@ -17,18 +17,12 @@ use crate::swap::SwapModel;
 pub struct KernelConfig {
     /// Physical memory visible to applications (the cgroup limit).
     pub total: u64,
-    /// Swap model (capacity + thrash curve).
-    pub swap: SwapModel,
 }
 
 impl KernelConfig {
-    /// A config with the given physical total and an 8-GiB-class HDD swap
-    /// sized at one quarter of physical memory.
+    /// A config with the given physical total.
     pub fn with_total(total: u64) -> Self {
-        KernelConfig {
-            total,
-            swap: SwapModel::hdd(total / 4),
-        }
+        KernelConfig { total }
     }
 }
 
@@ -66,6 +60,8 @@ impl std::error::Error for KernelError {}
 #[derive(Debug)]
 pub struct Kernel {
     config: KernelConfig,
+    /// Swap model (capacity + thrash curve), derived from the total.
+    swap: SwapModel,
     procs: BTreeMap<Pid, Process>,
     signals: SignalBus,
     next_pid: Pid,
@@ -80,10 +76,12 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Creates a kernel with the given configuration.
+    /// Creates a kernel with the given configuration and an HDD swap
+    /// device sized at one quarter of physical memory.
     pub fn new(config: KernelConfig) -> Self {
         Kernel {
             config,
+            swap: SwapModel::hdd(config.total / 4),
             procs: BTreeMap::new(),
             signals: SignalBus::new(),
             next_pid: 1,
@@ -306,8 +304,7 @@ impl Kernel {
     /// Work-speed multiplier in `(0, 1]` applied to every running process,
     /// reflecting swap thrashing.
     pub fn thrash_multiplier(&self) -> f64 {
-        self.config
-            .swap
+        self.swap
             .speed_multiplier(self.swapped(), self.config.total)
     }
 
@@ -343,7 +340,7 @@ impl Kernel {
     /// OOM check: if swap is exhausted, kills the largest running process
     /// and returns its pid.
     pub fn check_oom(&mut self) -> Option<Pid> {
-        if !self.config.swap.exhausted(self.swapped()) {
+        if !self.swap.exhausted(self.swapped()) {
             return None;
         }
         let victim = self

@@ -39,22 +39,6 @@ pub struct GcCostModel {
     pub sweep_ms_per_mib: f64,
 }
 
-impl Default for GcCostModel {
-    fn default() -> Self {
-        // Calibrated against HotSpot G1 on server-class hardware: copying a
-        // GiB of survivors costs on the order of a few hundred ms; a full GC
-        // of a ~30 GiB mostly-live heap costs tens of seconds.
-        GcCostModel {
-            base_ms: 15,
-            copy_ms_per_mib: 0.35,
-            // Marking is concurrent in G1; pauses only pay remembered-set
-            // and root-region work proportional to the live set.
-            scan_ms_per_mib: 0.02,
-            sweep_ms_per_mib: 0.01,
-        }
-    }
-}
-
 impl GcCostModel {
     /// Pause time for a collection that scans `scanned` live bytes, copies
     /// `copied` surviving bytes and sweeps `swept` garbage bytes.
@@ -125,7 +109,7 @@ mod tests {
 
     #[test]
     fn pause_grows_with_work() {
-        let m = GcCostModel::default();
+        let m = crate::jvm::COSTS;
         let small = m.pause(100 * MIB, 10 * MIB, 100 * MIB);
         let big = m.pause(10 * GIB, GIB, 10 * GIB);
         assert!(big > small);
@@ -134,13 +118,13 @@ mod tests {
 
     #[test]
     fn empty_pause_is_base_cost() {
-        let m = GcCostModel::default();
+        let m = crate::jvm::COSTS;
         assert_eq!(m.pause(0, 0, 0).as_millis(), m.base_ms);
     }
 
     #[test]
     fn copy_dominates_sweep() {
-        let m = GcCostModel::default();
+        let m = crate::jvm::COSTS;
         let copy_heavy = m.pause(0, GIB, 0);
         let sweep_heavy = m.pause(0, 0, GIB);
         assert!(copy_heavy.as_millis() > 10 * sweep_heavy.as_millis());
@@ -148,7 +132,7 @@ mod tests {
 
     #[test]
     fn full_gc_of_large_live_heap_costs_tens_of_seconds() {
-        let m = GcCostModel::default();
+        let m = crate::jvm::COSTS;
         // 30 GiB live heap scanned and half copied: should be 10s-60s class.
         let pause = m.pause(30 * GIB, 15 * GIB, 5 * GIB);
         assert!(pause.as_secs() >= 5, "got {pause}");

@@ -15,6 +15,24 @@ use serde::{Deserialize, Serialize};
 
 use crate::gc::{GcCostModel, GcKind, GcStats};
 
+/// Scavenger delay before idle free spans are returned to the OS (stock Go:
+/// 5 minutes).
+const SCAVENGE_DELAY: SimDuration = SimDuration::from_mins(5);
+
+/// Minimum heap-live floor below which GC is not triggered (Go's 4 MiB
+/// minimum heap, scaled up for server workloads).
+const MIN_TRIGGER: u64 = 16 * MIB;
+
+/// GC cost model. Go's collector is concurrent: the mutator pays short
+/// stop-the-world phases plus assist work, a small fraction of the full
+/// scan cost a stop-the-world collector would charge.
+const COSTS: GcCostModel = GcCostModel {
+    base_ms: 5,
+    copy_ms_per_mib: 0.0,
+    scan_ms_per_mib: 0.01,
+    sweep_ms_per_mib: 0.005,
+};
+
 /// Static configuration of a Go runtime instance.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct GoConfig {
@@ -23,17 +41,9 @@ pub struct GoConfig {
     pub gogc: u64,
     /// Commit granularity for OS interactions.
     pub commit_chunk: u64,
-    /// Scavenger delay before idle free spans are returned to the OS
-    /// (stock Go: 5 minutes).
-    pub scavenge_delay: SimDuration,
     /// If true (the paper's modification), freed spans are returned to the
     /// OS immediately after collection instead of waiting for the scavenger.
     pub return_immediately: bool,
-    /// Minimum heap-live floor below which GC is not triggered (Go's 4 MiB
-    /// minimum heap, scaled up for server workloads).
-    pub min_trigger: u64,
-    /// GC cost model.
-    pub costs: GcCostModel,
 }
 
 impl GoConfig {
@@ -42,18 +52,7 @@ impl GoConfig {
         GoConfig {
             gogc,
             commit_chunk: 64 * MIB,
-            scavenge_delay: SimDuration::from_mins(5),
             return_immediately: false,
-            min_trigger: 16 * MIB,
-            // Go's collector is concurrent: the mutator pays short
-            // stop-the-world phases plus assist work, a small fraction of
-            // the full scan cost a stop-the-world collector would charge.
-            costs: GcCostModel {
-                base_ms: 5,
-                copy_ms_per_mib: 0.0,
-                scan_ms_per_mib: 0.01,
-                sweep_ms_per_mib: 0.005,
-            },
         }
     }
 
@@ -104,7 +103,7 @@ impl GoRuntime {
             committed: 0,
             live: 0,
             garbage: 0,
-            last_gc_live: cfg.min_trigger,
+            last_gc_live: MIN_TRIGGER,
             free_since: None,
             stats: GcStats::default(),
         }
@@ -142,7 +141,7 @@ impl GoRuntime {
 
     /// The heap size at which the next GC cycle triggers.
     pub fn gc_trigger(&self) -> u64 {
-        let base = self.last_gc_live.max(self.cfg.min_trigger);
+        let base = self.last_gc_live.max(MIN_TRIGGER);
         base + base * self.cfg.gogc / 100
     }
 
@@ -182,7 +181,7 @@ impl GoRuntime {
     /// monolithic [`GoRuntime::gc`] wrapper) hands free spans back.
     pub fn collect(&mut self, os: &mut Kernel) -> GoGcOutcome {
         let reclaimed = self.garbage;
-        let pause = self.cfg.costs.pause(self.live, 0, reclaimed);
+        let pause = COSTS.pause(self.live, 0, reclaimed);
         self.garbage = 0;
         self.last_gc_live = self.live;
         self.stats.record(GcKind::Full, pause, reclaimed);
@@ -248,7 +247,7 @@ impl GoRuntime {
     /// left to scavenge).
     pub fn scavenge(&mut self, os: &mut Kernel, now: SimTime) -> u64 {
         match self.free_since {
-            Some(t0) if now.saturating_since(t0) >= self.cfg.scavenge_delay => {
+            Some(t0) if now.saturating_since(t0) >= SCAVENGE_DELAY => {
                 self.free_since = None;
                 self.release_free(os)
             }

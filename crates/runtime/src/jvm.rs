@@ -34,41 +34,59 @@ use serde::{Deserialize, Serialize};
 use crate::gc::{GcCostModel, GcKind, GcStats};
 use crate::RuntimeError;
 
+/// Region/commit granularity for OS interactions.
+const COMMIT_CHUNK: u64 = 256 * MIB;
+
+/// Young generation capacity as a fraction of the effective heap.
+const YOUNG_FRACTION: f64 = 0.60;
+
+/// Lower clamp on the young generation capacity.
+const YOUNG_MIN: u64 = 64 * MIB;
+
+/// Upper clamp on the young generation capacity.
+const YOUNG_MAX: u64 = 4 * GIB;
+
+/// Occupancy fraction of the effective heap that triggers a mixed
+/// collection (G1's initiating-heap-occupancy percent).
+const IHOP: f64 = 0.45;
+
+/// Fraction of old garbage a single mixed collection reclaims.
+const MIXED_YIELD: f64 = 0.90;
+
+/// Multiplier applied to the watermark after each watermark-triggered
+/// collection.
+const WATERMARK_GROWTH: f64 = 1.3;
+
+/// Garbage-proportional pacing for effectively-unbounded heaps (the M3
+/// JVM): a mixed cycle runs once old garbage reaches this fraction of the
+/// live set. Ignored by bounded stock heaps, which pace on IHOP.
+const GARBAGE_RATIO: f64 = 0.30;
+
+/// GC pause cost model, calibrated against HotSpot G1 on server-class
+/// hardware: copying a GiB of survivors costs on the order of a few hundred
+/// ms; a full GC of a ~30 GiB mostly-live heap costs tens of seconds.
+pub(crate) const COSTS: GcCostModel = GcCostModel {
+    base_ms: 15,
+    copy_ms_per_mib: 0.35,
+    // Marking is concurrent in G1; pauses only pay remembered-set and
+    // root-region work proportional to the live set.
+    scan_ms_per_mib: 0.02,
+    sweep_ms_per_mib: 0.01,
+};
+
 /// Static configuration of a JVM instance (the paper's tuning surface).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct JvmConfig {
     /// `-Xmx`: the static maximum heap size.
     pub max_heap: u64,
-    /// Region/commit granularity for OS interactions.
-    pub commit_chunk: u64,
     /// Fraction of transient young bytes that survive a young collection
     /// (they are promoted and die in the old generation).
     pub survival_rate: f64,
-    /// Young generation capacity as a fraction of the effective heap.
-    pub young_fraction: f64,
-    /// Lower/upper clamps on the young generation capacity.
-    pub young_min: u64,
-    /// Upper clamp on the young generation capacity.
-    pub young_max: u64,
-    /// Occupancy fraction of the effective heap that triggers a mixed
-    /// collection (G1's initiating-heap-occupancy percent).
-    pub ihop: f64,
-    /// Fraction of old garbage a single mixed collection reclaims.
-    pub mixed_yield: f64,
     /// Initial internal growth watermark (footnote 2).
     pub initial_watermark: u64,
-    /// Multiplier applied to the watermark after each watermark-triggered
-    /// collection.
-    pub watermark_growth: f64,
-    /// Garbage-proportional pacing for effectively-unbounded heaps (the M3
-    /// JVM): a mixed cycle runs once old garbage reaches this fraction of
-    /// the live set. Ignored by bounded stock heaps, which pace on IHOP.
-    pub garbage_ratio: f64,
     /// If true (the paper's modified JVM), freed regions are returned to the
     /// OS with `madvise` as soon as they are collected.
     pub return_to_os: bool,
-    /// GC pause cost model.
-    pub costs: GcCostModel,
 }
 
 impl JvmConfig {
@@ -77,21 +95,12 @@ impl JvmConfig {
     pub fn stock(max_heap: u64) -> Self {
         JvmConfig {
             max_heap,
-            commit_chunk: 256 * MIB,
             survival_rate: 0.08,
-            young_fraction: 0.60,
-            young_min: 64 * MIB,
-            young_max: 4 * GIB,
-            ihop: 0.45,
-            mixed_yield: 0.90,
             // A stock JVM is greedy from the start: the heap expands to the
             // static maximum and garbage accumulates to the IHOP before any
             // mixed cycle (the paper's Problem 2).
             initial_watermark: max_heap,
-            watermark_growth: 1.3,
-            garbage_ratio: 0.30,
             return_to_os: false,
-            costs: GcCostModel::default(),
         }
     }
 
@@ -216,7 +225,7 @@ impl Jvm {
     /// Young generation capacity under the current effective heap.
     ///
     /// Like real G1, the young generation expands into whatever heap the old
-    /// generation is not using (up to `young_fraction`, G1's default maximum
+    /// generation is not using (up to `YOUNG_FRACTION`, G1's default maximum
     /// of 60 %). This is the paper's Problem 2: a stock JVM "will greedily
     /// use up its entire max heap size before aggressively performing GC",
     /// so to the OS most of a big `-Xmx` looks in-use even though it is
@@ -225,8 +234,8 @@ impl Jvm {
     pub fn young_capacity(&self) -> u64 {
         let old_used = self.old_live + self.old_garbage;
         let head = self.effective_cap().saturating_sub(old_used);
-        let target = (head as f64 * self.cfg.young_fraction) as u64;
-        target.clamp(self.cfg.young_min, self.cfg.young_max)
+        let target = (head as f64 * YOUNG_FRACTION) as u64;
+        target.clamp(YOUNG_MIN, YOUNG_MAX)
     }
 
     /// Grows committed memory so at least `bytes` of free space exist,
@@ -237,7 +246,7 @@ impl Jvm {
             return true;
         }
         let need = bytes - self.free();
-        let chunked = need.div_ceil(self.cfg.commit_chunk) * self.cfg.commit_chunk;
+        let chunked = need.div_ceil(COMMIT_CHUNK) * COMMIT_CHUNK;
         let headroom = self.cfg.max_heap.saturating_sub(self.committed);
         let grow = chunked.min(headroom).max(need.min(headroom));
         if grow < need {
@@ -271,7 +280,7 @@ impl Jvm {
         if !self.cfg.return_to_os {
             return 0;
         }
-        self.free().saturating_sub(self.cfg.commit_chunk) / PAGE_SIZE * PAGE_SIZE
+        self.free().saturating_sub(COMMIT_CHUNK) / PAGE_SIZE * PAGE_SIZE
     }
 
     /// The young collection *phase*: evacuates survivors to the old
@@ -282,7 +291,7 @@ impl Jvm {
     pub fn young_collect(&mut self, os: &mut Kernel) -> GcOutcome {
         let survivors = (self.young_used as f64 * self.cfg.survival_rate) as u64;
         let reclaimed = self.young_used - survivors;
-        let pause = self.cfg.costs.pause(survivors, survivors, reclaimed);
+        let pause = COSTS.pause(survivors, survivors, reclaimed);
         self.young_used = 0;
         self.old_garbage += survivors;
         self.stats.record(GcKind::Young, pause, reclaimed);
@@ -307,16 +316,16 @@ impl Jvm {
     }
 
     /// The old-generation trace/evacuate *phase* of a mixed collection
-    /// (the `gc_old` work packet): reclaims `mixed_yield` of the
+    /// (the `gc_old` work packet): reclaims `MIXED_YIELD` of the
     /// accumulated old garbage, without touching the OS.
     pub fn old_collect(&mut self, os: &mut Kernel) -> GcOutcome {
-        let old_reclaimed = (self.old_garbage as f64 * self.cfg.mixed_yield) as u64;
+        let old_reclaimed = (self.old_garbage as f64 * MIXED_YIELD) as u64;
         self.old_garbage -= old_reclaimed;
         // Concurrent marking precedes this; the pause pays remembered-set
         // scanning plus evacuation of live data out of the sparsest regions
         // (a small slice of the live set).
         let copied = (self.old_live as f64 * 0.05) as u64;
-        let pause = self.cfg.costs.pause(self.old_live, copied, old_reclaimed);
+        let pause = COSTS.pause(self.old_live, copied, old_reclaimed);
         self.stats.record(GcKind::Mixed, pause, old_reclaimed);
         os.record_trace_with(self.pid, || TraceData::Gc {
             layer: GcLayer::Mixed,
@@ -334,7 +343,7 @@ impl Jvm {
 
     /// Pure estimate of the bytes [`Jvm::old_collect`] would reclaim.
     pub fn old_collect_estimate(&self) -> u64 {
-        (self.old_garbage as f64 * self.cfg.mixed_yield) as u64
+        (self.old_garbage as f64 * MIXED_YIELD) as u64
     }
 
     /// The full-heap compact *phase* (the `gc_full` work packet): every
@@ -343,10 +352,7 @@ impl Jvm {
     pub fn full_collect(&mut self, os: &mut Kernel) -> GcOutcome {
         let reclaimed = self.old_garbage;
         self.old_garbage = 0;
-        let pause = self
-            .cfg
-            .costs
-            .pause(self.old_live, self.old_live, reclaimed);
+        let pause = COSTS.pause(self.old_live, self.old_live, reclaimed);
         self.stats.record(GcKind::Full, pause, reclaimed);
         os.record_trace_with(self.pid, || TraceData::Gc {
             layer: GcLayer::Full,
@@ -413,44 +419,43 @@ impl Jvm {
     /// heap; real G1 similarly skips mixed collections whose candidate
     /// regions are below the heap-waste threshold).
     fn min_mixed_yield(&self) -> u64 {
-        (self.cfg.commit_chunk / 2).max((self.effective_cap() as f64 * 0.02) as u64)
+        (COMMIT_CHUNK / 2).max((self.effective_cap() as f64 * 0.02) as u64)
     }
 
     /// Checks the internal growth watermark (footnote 2).
     ///
     /// A *bounded* stock heap paces on G1's IHOP: a mixed cycle once
     /// old-generation occupancy (live + garbage — young is handled by young
-    /// collections) crosses `ihop × max_heap`, which is exactly the greedy
+    /// collections) crosses `IHOP × max_heap`, which is exactly the greedy
     /// fill-then-collect behaviour of §2.2 Problem 2.
     ///
     /// An *effectively unbounded* heap (the M3 JVM) paces on the live set
-    /// instead: each time usage grows a `garbage_ratio` past the live data,
+    /// instead: each time usage grows a `GARBAGE_RATIO` past the live data,
     /// a mixed cycle runs and the internal watermark rises to track it —
     /// footnote 2's ever-rising watermark, with GC cost that never reaches
     /// zero no matter the ceiling.
     fn check_watermark(&mut self, os: &mut Kernel, cost: &mut AllocCost) {
         if self.cfg.return_to_os {
-            let trigger = ((self.old_live as f64) * self.cfg.garbage_ratio) as u64;
+            let trigger = ((self.old_live as f64) * GARBAGE_RATIO) as u64;
             let trigger = trigger.max(self.min_mixed_yield());
             while self.old_garbage >= trigger {
                 let pre_used = self.used();
                 let out = self.mixed_gc(os);
                 cost.pause += out.pause;
                 cost.returned_to_os += out.returned_to_os;
-                let next = (pre_used as f64 * self.cfg.watermark_growth) as u64;
+                let next = (pre_used as f64 * WATERMARK_GROWTH) as u64;
                 self.watermark = self.watermark.max(next).min(self.cfg.max_heap);
             }
             return;
         }
-        while self.old_live + self.old_garbage
-            >= (self.effective_cap() as f64 * self.cfg.ihop) as u64
+        while self.old_live + self.old_garbage >= (self.effective_cap() as f64 * IHOP) as u64
             && self.old_garbage >= self.min_mixed_yield()
         {
             let out = self.mixed_gc(os);
             cost.pause += out.pause;
             cost.returned_to_os += out.returned_to_os;
             if self.watermark < self.cfg.max_heap {
-                let next = (self.watermark as f64 * self.cfg.watermark_growth) as u64;
+                let next = (self.watermark as f64 * WATERMARK_GROWTH) as u64;
                 self.watermark = next.min(self.cfg.max_heap);
             } else {
                 // At the static maximum the trigger cannot move; one
@@ -873,7 +878,7 @@ mod tests {
         let (_, small) = setup(GIB);
         let (_, big) = setup(64 * GIB);
         assert!(small.young_capacity() >= 64 * MIB);
-        assert_eq!(big.young_capacity(), 4 * GIB, "clamped at young_max");
+        assert_eq!(big.young_capacity(), 4 * GIB, "clamped at YOUNG_MAX");
         assert!(small.young_capacity() <= big.young_capacity());
     }
 }

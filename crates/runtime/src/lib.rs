@@ -18,9 +18,10 @@
 //!   each time usage crosses an internal watermark, then raises it
 //!   (footnote 2), so GC cost never falls to zero.
 //!
-//! Cost models are deliberately simple (affine in bytes scanned/copied) and
-//! are calibrated in one place ([`gc::GcCostModel`]); the workloads crate
-//! only ever compares *shapes* across configurations, never absolute times.
+//! Cost models are deliberately simple (affine in bytes scanned/copied): one
+//! calibrated [`gc::GcCostModel`] constant per runtime, next to the runtime
+//! that pays it. The workloads crate only ever compares *shapes* across
+//! configurations, never absolute times.
 
 pub mod gc;
 pub mod golang;

@@ -274,7 +274,7 @@ pub struct DegradationReport {
     pub watchdog_resignals: u64,
     /// Monitor polls that observed usage above the top of memory.
     pub polls_above_top: u64,
-    /// Simulated time spent above top (`polls_above_top × poll_period`).
+    /// Simulated time spent above top (`polls_above_top × POLL_PERIOD`).
     pub time_above_top: SimDuration,
     /// Per-applied-fault recovery times, in polls.
     pub recoveries: Vec<FaultRecovery>,

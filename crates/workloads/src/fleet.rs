@@ -30,20 +30,20 @@
 //!   over homogeneous nodes collapse thousands of node simulations into a
 //!   handful of distinct ones.
 //! - **Sharded placement.** Nodes are partitioned into shards of
-//!   [`FleetConfig::shard_size`]; each shard keeps a `BTreeSet` candidate
-//!   index ordered by an *advisory* effective-load key. Placement k-way
-//!   merges the shard indexes into the globally least-estimated
-//!   [`FleetConfig::probe_budget`] nodes and probes those (stopping early
-//!   once [`FleetConfig::place_candidates`] feasible candidates are in
-//!   hand) instead of probing all N. The index only orders the scan — admission is
-//!   always decided by authoritative probes — and a job's *final* admission
-//!   attempt scans every node, so a job is never given up on while a
-//!   feasible node exists anywhere in the fleet.
+//!   `SHARD_SIZE`; each shard keeps a `BTreeSet` candidate index ordered
+//!   by an *advisory* effective-load key. Placement k-way merges the shard
+//!   indexes into the globally least-estimated `PROBE_BUDGET` nodes and
+//!   probes those (stopping early once `PLACE_CANDIDATES` feasible
+//!   candidates are in hand) instead of probing all N. The index only
+//!   orders the scan — admission is always decided by authoritative
+//!   probes — and a job's *final* admission attempt scans every node, so a
+//!   job is never given up on while a feasible node exists anywhere in the
+//!   fleet.
 //! - **Batched pressure refresh.** Each rebalance check refreshes
-//!   [`FleetConfig::refresh_shards`] shards round-robin rather than the
-//!   whole fleet, and pre-warms the dirty nodes' simulations on the
-//!   worker pool ([`crate::parallel::parallel_map`]) before reading them
-//!   serially in node order.
+//!   `REFRESH_SHARDS` shards round-robin rather than the whole fleet, and
+//!   pre-warms the dirty nodes' simulations on the worker pool
+//!   ([`crate::parallel::parallel_map`]) before reading them serially in
+//!   node order.
 //!
 //! # Determinism
 //!
@@ -87,6 +87,31 @@ use crate::parallel::{run_scenario_cached, CacheStats, MemoCache};
 use crate::runner::ScenarioOutcome;
 use crate::scenario::{AppKind, Scenario};
 use crate::settings::Setting;
+
+/// Migrations allowed per job (a migration restarts the job).
+const MAX_MIGRATIONS: u32 = 1;
+
+/// Nodes per placement shard. Each shard keeps a pressure-ordered
+/// candidate index; fleets of at most one shard behave exactly like the
+/// exhaustive scheduler.
+const SHARD_SIZE: usize = 64;
+
+/// Feasible candidates a bounded placement scan collects before picking
+/// (the scan's early-stop).
+const PLACE_CANDIDATES: usize = 4;
+
+/// Upper bound on authoritative probes per bounded placement scan: the
+/// scan order is the globally least-estimated `PROBE_BUDGET` nodes by the
+/// shard indexes. At least `PLACE_CANDIDATES`, so a scan can fill up.
+const PROBE_BUDGET: usize = 16;
+const _: () = assert!(PROBE_BUDGET >= PLACE_CANDIDATES);
+
+/// Shards whose nodes get a fresh pressure probe per rebalance check
+/// (round-robin across checks).
+const REFRESH_SHARDS: usize = 1;
+
+/// Seed of the deterministic node-loss backoff jitter.
+const BACKOFF_SEED: u64 = 0xF1EE7;
 
 /// One worker node of the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -134,37 +159,18 @@ pub struct FleetConfig {
     pub defer_interval: SimDuration,
     /// Admission retries before the scheduler gives up on a job.
     pub max_defers: u32,
-    /// Migrations allowed per job (a migration restarts the job).
-    pub max_migrations: u32,
     /// Cadence of the red-zone rebalance checks.
     pub rebalance_period: SimDuration,
     /// Number of rebalance checks scheduled (bounds the event horizon).
     pub rebalance_checks: u32,
     /// Placement preference among feasible nodes.
     pub policy: PlacementPolicy,
-    /// Nodes per placement shard. Each shard keeps a pressure-ordered
-    /// candidate index; fleets of at most one shard behave exactly like
-    /// the exhaustive scheduler.
-    pub shard_size: usize,
-    /// Feasible candidates a bounded placement scan collects before
-    /// picking (the scan's early-stop).
-    pub place_candidates: usize,
-    /// Upper bound on authoritative probes per bounded placement scan:
-    /// the scan order is the globally least-estimated `probe_budget`
-    /// nodes by the shard indexes.
-    pub probe_budget: usize,
-    /// Shards whose nodes get a fresh pressure probe per rebalance check
-    /// (round-robin across checks).
-    pub refresh_shards: usize,
     /// Times a job lost to node death may re-enter the arrival queue
     /// before the scheduler abandons it as orphaned.
     pub retry_budget: u32,
     /// Base delay of the node-loss retry backoff; retry `k` waits
     /// `base * 2^(k-1)` plus deterministic jitter in `[0, base)`.
     pub backoff_base: SimDuration,
-    /// Seed of the deterministic backoff jitter (part of the cache key:
-    /// different seeds are different schedules).
-    pub backoff_seed: u64,
     /// How old a flapping endpoint's stale summary may be before the
     /// scheduler refuses it and forces an authoritative re-read.
     pub stale_window: SimDuration,
@@ -191,17 +197,11 @@ impl FleetConfig {
             grace: SimDuration::from_secs(60),
             defer_interval: SimDuration::from_secs(120),
             max_defers: 30,
-            max_migrations: 1,
             rebalance_period: SimDuration::from_secs(60),
             rebalance_checks: 40,
             policy: PlacementPolicy::LeastPressured,
-            shard_size: 64,
-            place_candidates: 4,
-            probe_budget: 16,
-            refresh_shards: 1,
             retry_budget: 3,
             backoff_base: SimDuration::from_secs(30),
-            backoff_seed: 0xF1EE7,
             stale_window: SimDuration::from_secs(120),
             quarantine_after: 2,
             quarantine_healthy: 3,
@@ -486,11 +486,10 @@ impl<'a> Fleet<'a> {
                 indexed: true,
             });
         }
-        let shard_size = fleet.shard_size.max(1);
-        let nshards = nodes.len().div_ceil(shard_size).max(1);
+        let nshards = nodes.len().div_ceil(SHARD_SIZE).max(1);
         let mut shards = vec![BTreeSet::new(); nshards];
         for n in 0..nodes.len() {
-            shards[n / shard_size].insert((0u64, n as u32));
+            shards[n / SHARD_SIZE].insert((0u64, n as u32));
         }
         Fleet {
             scenario,
@@ -560,7 +559,7 @@ impl<'a> Fleet<'a> {
         if !capture {
             cfg.sample_period = None;
             cfg.capture_trace = false;
-            cfg.pressure_timeline_polls = Some(1);
+            cfg.pressure_timeline = true;
         }
         run_scenario_cached(&scenario, &setting, cfg)
     }
@@ -742,10 +741,6 @@ impl<'a> Fleet<'a> {
         view
     }
 
-    fn shard_size(&self) -> usize {
-        self.fleet.shard_size.max(1)
-    }
-
     /// Moves `node` to its new position in the shard index. Deindexed
     /// nodes (dead or quarantined) keep their key current without ever
     /// re-entering the index — only [`Fleet::set_indexed`] re-admits.
@@ -754,7 +749,7 @@ impl<'a> Fleet<'a> {
         let old = self.nodes[node].index_key;
         if key != old {
             if self.nodes[node].indexed {
-                let shard = node / self.shard_size();
+                let shard = node / SHARD_SIZE;
                 self.shards[shard].remove(&(old, node as u32));
                 self.shards[shard].insert((key, node as u32));
             }
@@ -768,7 +763,7 @@ impl<'a> Fleet<'a> {
         if self.nodes[node].indexed == on {
             return;
         }
-        let shard = node / self.shard_size();
+        let shard = node / SHARD_SIZE;
         let entry = (self.nodes[node].index_key, node as u32);
         if on {
             self.shards[shard].insert(entry);
@@ -779,14 +774,10 @@ impl<'a> Fleet<'a> {
     }
 
     /// The bounded placement scan order: the globally least-estimated
-    /// [`FleetConfig::probe_budget`] nodes, k-way-merged from the sorted
-    /// per-shard indexes (`O(shards + budget * log(shards))` per scan —
+    /// `PROBE_BUDGET` nodes, k-way-merged from the sorted per-shard
+    /// indexes (`O(shards + budget * log(shards))` per scan —
     /// never a walk over all N nodes).
     fn candidate_order(&self) -> Vec<usize> {
-        let budget = self
-            .fleet
-            .probe_budget
-            .max(self.fleet.place_candidates.max(1));
         let mut iters: Vec<_> = self.shards.iter().map(|s| s.iter().copied()).collect();
         let mut heap: BinaryHeap<Reverse<((u64, u32), usize)>> =
             BinaryHeap::with_capacity(iters.len());
@@ -795,8 +786,8 @@ impl<'a> Fleet<'a> {
                 heap.push(Reverse((e, i)));
             }
         }
-        let mut out = Vec::with_capacity(budget);
-        while out.len() < budget {
+        let mut out = Vec::with_capacity(PROBE_BUDGET);
+        while out.len() < PROBE_BUDGET {
             let Some(Reverse((entry, shard))) = heap.pop() else {
                 break;
             };
@@ -1053,8 +1044,6 @@ impl<'a> Fleet<'a> {
         } else {
             self.candidate_order()
         };
-        let want = self.fleet.place_candidates.max(1);
-        let budget = self.fleet.probe_budget.max(want);
         let mut probed: Vec<NodeView> = Vec::new();
         let mut candidates: Vec<NodeView> = Vec::new();
         for node in order {
@@ -1076,7 +1065,8 @@ impl<'a> Fleet<'a> {
             if feasible {
                 candidates.push(v);
             }
-            if !exhaustive && (candidates.len() >= want || probed.len() >= budget) {
+            if !exhaustive && (candidates.len() >= PLACE_CANDIDATES || probed.len() >= PROBE_BUDGET)
+            {
                 break;
             }
         }
@@ -1174,16 +1164,15 @@ impl<'a> Fleet<'a> {
         if nshards == 0 {
             return;
         }
-        // Round-robin refresh: check k covers `refresh_shards` shards
+        // Round-robin refresh: check k covers `REFRESH_SHARDS` shards
         // starting where check k-1 left off.
-        let refresh = self.fleet.refresh_shards.clamp(1, nshards);
+        let refresh = REFRESH_SHARDS.min(nshards);
         let start = (check as usize - 1).wrapping_mul(refresh) % nshards;
-        let shard_size = self.shard_size();
         let mut due_nodes: Vec<usize> = Vec::new();
         for i in 0..refresh {
             let shard = (start + i) % nshards;
-            let lo = shard * shard_size;
-            due_nodes.extend(lo..(lo + shard_size).min(self.nodes.len()));
+            let lo = shard * SHARD_SIZE;
+            due_nodes.extend(lo..(lo + SHARD_SIZE).min(self.nodes.len()));
         }
         due_nodes.sort_unstable();
         due_nodes.dedup();
@@ -1237,7 +1226,7 @@ impl<'a> Fleet<'a> {
                 .enumerate()
                 .filter(|&(slot, &(job, _, _))| {
                     self.assignment[job] == Some((node, slot))
-                        && self.migrations[job] < self.fleet.max_migrations
+                        && self.migrations[job] < MAX_MIGRATIONS
                         && out.run.apps.get(slot).is_some_and(|a| {
                             a.started.as_millis() <= t_ms
                                 && a.ended.is_none_or(|e| e.as_millis() > t_ms)
@@ -1260,8 +1249,6 @@ impl<'a> Fleet<'a> {
             // found by the same bounded scan placement uses (views probed
             // this check are reused, not re-recorded).
             let demand = demand_estimate(kind);
-            let want = self.fleet.place_candidates.max(1);
-            let budget = self.fleet.probe_budget.max(want);
             let mut candidates: Vec<NodeView> = Vec::new();
             let mut scanned = 0usize;
             for cand in self.candidate_order() {
@@ -1283,7 +1270,7 @@ impl<'a> Fleet<'a> {
                 if Self::admits(&v, demand) {
                     candidates.push(v);
                 }
-                if candidates.len() >= want || scanned >= budget {
+                if candidates.len() >= PLACE_CANDIDATES || scanned >= PROBE_BUDGET {
                     break;
                 }
             }
@@ -1313,12 +1300,12 @@ impl<'a> Fleet<'a> {
     /// The deterministic retry backoff for a job's `retries`-th node-loss
     /// requeue, ms: exponential in the retry count with jitter in
     /// `[0, base)` drawn from a counter-keyed [`SimRng`] — pure in
-    /// `(backoff_seed, job, retries)`, so replays are byte-identical and
+    /// `(BACKOFF_SEED, job, retries)`, so replays are byte-identical and
     /// co-lost jobs do not thunder back in lockstep.
     fn backoff_ms(&self, job: usize, retries: u32) -> u64 {
         let base = self.fleet.backoff_base.as_millis().max(1);
         let exp = base.saturating_mul(1 << (retries.saturating_sub(1)).min(5));
-        let seed = self.fleet.backoff_seed
+        let seed = BACKOFF_SEED
             ^ (job as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (u64::from(retries) << 32);
         exp + SimRng::new(seed).gen_range(base)
@@ -1448,7 +1435,7 @@ impl<'a> Fleet<'a> {
             self.nodes[node].index_key = key;
             self.nodes[node].index_effective = effective;
             self.nodes[node].indexed = true;
-            let shard = node / self.shard_size();
+            let shard = node / SHARD_SIZE;
             self.shards[shard].insert((key, node as u32));
             self.degradation.index_rebuild_nodes += 1;
         }

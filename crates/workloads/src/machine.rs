@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use m3_core::monitor::POLL_PERIOD;
 use m3_core::{Monitor, MonitorConfig, Registry, ThresholdSignal, Zone};
 use m3_oracle::{Oracle, Violation};
 use m3_os::cgroup::{Cgroup, CgroupSet};
@@ -26,6 +27,10 @@ use crate::faults::{
 };
 use crate::scenario::JobClass;
 use crate::settings::Setting;
+
+/// World tick length: every application advances by one tick's budget per
+/// loop iteration.
+const TICK: SimDuration = SimDuration::from_millis(100);
 
 /// One schedule entry: display name, start delay, and the blueprint built at
 /// start time. Names are `Arc<str>` so interned names are shared across the
@@ -77,8 +82,6 @@ pub struct MachineConfig {
     pub phys_total: u64,
     /// The M3 monitor configuration; `None` runs a stock system.
     pub monitor: Option<MonitorConfig>,
-    /// World tick length.
-    pub tick: SimDuration,
     /// Profile sampling period (`None` disables capture, for benches).
     pub sample_period: Option<SimDuration>,
     /// Hard wall-clock cap on the simulation.
@@ -98,12 +101,11 @@ pub struct MachineConfig {
     /// [`RunResult::violations`]). Off, the kernel's trace log is disabled
     /// and records nothing. Part of the memoization cache key.
     pub capture_trace: bool,
-    /// Records the monitor's pressure summary every `n` polls into
-    /// [`RunResult::pressure_timeline`] (`None` disables capture). The fleet
-    /// scheduler sets this on its probe runs so one full-horizon simulation
-    /// answers pressure queries at every instant. Part of the memoization
-    /// cache key.
-    pub pressure_timeline_polls: Option<u64>,
+    /// Records the monitor's pressure summary at every poll into
+    /// [`RunResult::pressure_timeline`]. The fleet scheduler sets this on
+    /// its probe runs so one full-horizon simulation answers pressure
+    /// queries at every instant. Part of the memoization cache key.
+    pub pressure_timeline: bool,
     /// Ablation: drain reclamation work packets in *reverse* bucket order,
     /// ignoring dependency edges. Exists to prove the `reclaim.packet.*`
     /// oracle invariants catch ordering violations; never set in a correct
@@ -117,13 +119,12 @@ impl MachineConfig {
         MachineConfig {
             phys_total: 64 * GIB,
             monitor: None,
-            tick: SimDuration::from_millis(100),
             sample_period: Some(SimDuration::from_secs(2)),
             max_time: SimDuration::from_secs(30_000),
             node_salt: 0,
             fast_path: true,
             capture_trace: true,
-            pressure_timeline_polls: None,
+            pressure_timeline: false,
             packet_ablation: false,
         }
     }
@@ -252,9 +253,9 @@ pub struct RunResult {
     /// The node's pressure state at the end of the run, when a monitor ran
     /// (what a fleet scheduler ranks this node by).
     pub pressure: Option<m3_core::monitor::PressureSummary>,
-    /// `(time ms, summary)` samples taken every
-    /// [`MachineConfig::pressure_timeline_polls`] monitor polls (empty when
-    /// capture is off or no monitor ran). The fleet scheduler reads a
+    /// `(time ms, summary)` samples taken at every monitor poll when
+    /// [`MachineConfig::pressure_timeline`] is on (empty when capture is
+    /// off or no monitor ran). The fleet scheduler reads a
     /// node's pressure at time `t` as the last sample at or before `t`.
     pub pressure_timeline: Vec<(u64, m3_core::monitor::PressureSummary)>,
     /// When the last application terminated (or the cap was hit).
@@ -367,11 +368,6 @@ impl Machine {
         let mut registry = Registry::new();
         let mut profile = Profile::new();
         let mut now = SimTime::ZERO;
-        let poll_period = self
-            .cfg
-            .monitor
-            .map(|m| m.poll_period)
-            .unwrap_or(SimDuration::from_secs(1));
         let mut cgroups: Option<CgroupSet> = container_limits.as_ref().map(|limits| {
             assert_eq!(
                 limits.len(),
@@ -384,7 +380,7 @@ impl Machine {
             }
             set
         });
-        let mut next_enforce = SimTime::ZERO + poll_period;
+        let mut next_enforce = SimTime::ZERO + POLL_PERIOD;
         let mut faultq: m3_sim::EventQueue<FaultAction> = m3_sim::EventQueue::new();
         for (i, ev) in faults.events.iter().enumerate() {
             faultq.schedule(SimTime::ZERO + ev.at, FaultAction::App(i));
@@ -404,7 +400,7 @@ impl Machine {
         // return, not an incidental calm poll right after injection.
         let mut pending_recoveries: Vec<(usize, u64, bool)> = Vec::new();
         let mut churn_bystanders: Vec<Pid> = vec![0; faults.churn.len()];
-        let mut next_poll = SimTime::ZERO + poll_period;
+        let mut next_poll = SimTime::ZERO + POLL_PERIOD;
         let mut next_sample = SimTime::ZERO;
         let mut pressure_timeline: Vec<(u64, m3_core::monitor::PressureSummary)> = Vec::new();
         // Mean-RSS integral as exact integers (`committed` summed per tick):
@@ -535,7 +531,7 @@ impl Machine {
             //     receive reclaim pressure.
             if let Some(set) = cgroups.as_ref() {
                 if now >= next_enforce {
-                    next_enforce += poll_period;
+                    next_enforce += POLL_PERIOD;
                     for idx in set.over_limit(&kernel) {
                         for pid in set.groups()[idx].members() {
                             kernel.send_signal(pid, Signal::HighMemory);
@@ -553,12 +549,10 @@ impl Machine {
                     kernel.set_meminfo_outage(faults.poll_outages.iter().any(|w| w.contains(now)));
                     registry.sync_monitor(m, &kernel);
                     let report = m.poll(&mut kernel, now);
-                    next_poll += poll_period;
-                    if let Some(stride) = self.cfg.pressure_timeline_polls {
-                        if stride > 0 && m.stats.polls % stride == 0 {
-                            pressure_timeline
-                                .push((now.as_millis(), m.pressure_summary(kernel.committed())));
-                        }
+                    next_poll += POLL_PERIOD;
+                    if self.cfg.pressure_timeline {
+                        pressure_timeline
+                            .push((now.as_millis(), m.pressure_summary(kernel.committed())));
                     }
                     match report.zone {
                         Zone::AboveTop => {
@@ -682,14 +676,14 @@ impl Machine {
             });
 
             // 4. Advance applications, slowed by any swap thrashing.
-            let budget = self.cfg.tick.mul_f64(kernel.thrash_multiplier());
+            let budget = TICK.mul_f64(kernel.thrash_multiplier());
             let readers = running.iter().filter(|s| s.app.uses_disk()).count();
             let mut finished_idx = Vec::new();
             for slot in &mut running {
                 // Injected leak: steady growth the app itself never frees.
                 // Exact integer carry keeps sub-second rates deterministic.
                 if slot.leak_rate > 0 {
-                    slot.leak_carry += slot.leak_rate * self.cfg.tick.as_millis();
+                    slot.leak_carry += slot.leak_rate * TICK.as_millis();
                     let bytes = slot.leak_carry / 1000;
                     slot.leak_carry %= 1000;
                     if bytes > 0 {
@@ -705,7 +699,7 @@ impl Machine {
             running.retain_mut(|s| {
                 if finished_idx.contains(&s.idx) {
                     let r = &mut results[s.idx];
-                    r.finished = Some(now + self.cfg.tick);
+                    r.finished = Some(now + TICK);
                     r.ended = r.finished;
                     r.failure = s.app.failed().then_some(JobFailure::Crashed);
                     r.gc_pause = s.app.gc_pause();
@@ -767,7 +761,7 @@ impl Machine {
                 }
             }
 
-            now += self.cfg.tick;
+            now += TICK;
             let all_started = queue.is_empty();
             if (all_started && running.is_empty())
                 || now.saturating_since(SimTime::ZERO) >= self.cfg.max_time
@@ -782,7 +776,7 @@ impl Machine {
             // chaos kill, monitor poll, cgroup enforcement, profile sample),
             // accounting the skipped ticks into the mean-RSS integral.
             if self.cfg.fast_path && running.is_empty() {
-                let tick_ms = self.cfg.tick.as_millis();
+                let tick_ms = TICK.as_millis();
                 let grid_ceil = |t: u64| t.div_ceil(tick_ms) * tick_ms;
                 // The break above fires at the first grid instant at or past
                 // the time cap, so no loop iteration can run later than this.
@@ -843,7 +837,7 @@ impl Machine {
             degradation.watchdog_resignals = m.stats.watchdog_resignals;
             degradation.polls_above_top = m.stats.polls_above_top;
             degradation.time_above_top =
-                SimDuration::from_millis(poll_period.as_millis() * m.stats.polls_above_top);
+                SimDuration::from_millis(POLL_PERIOD.as_millis() * m.stats.polls_above_top);
         }
 
         // Every traced run is checked against the paper's invariants on the
@@ -863,7 +857,7 @@ impl Machine {
         // Close the timeline with the end-of-run state: reads at any
         // `t >= end` must see the node as it finished (typically drained
         // back to zero committed), not frozen at the last in-flight poll.
-        if self.cfg.pressure_timeline_polls.is_some() {
+        if self.cfg.pressure_timeline {
             if let Some(p) = pressure {
                 pressure_timeline.push((now.as_millis(), p));
             }

@@ -18,6 +18,14 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # replay is byte-identical and, at fleet level, zero oracle violations.
 cargo run --release --example chaos_drill
 cargo run --release --example fleet_chaos_drill
+# The remaining examples assert nothing themselves; running them makes a
+# panic anywhere on their public-API paths a CI failure.
+cargo run --release --example quickstart
+cargo run --release --example spark_cluster
+cargo run --release --example cache_pressure
+cargo run --release --example threshold_tuning
+cargo run --release --example mixed_tenancy
+cargo run --release --example fleet_quickstart
 # Fleet-scale smoke: the scaling curve up to 512 nodes with a generous
 # per-point wall-clock budget (full 10k-node curve runs out of band).
 # Asserts zero oracle violations and a memoized repeat at every point.

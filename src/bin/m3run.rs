@@ -107,12 +107,14 @@ fn run_cmd(args: &[String]) {
                 nodes = it
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage());
             }
             "--phys-gib" => {
                 phys_gib = it
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&g| g > 0)
                     .unwrap_or_else(|| usage());
             }
             "--json" => json_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
@@ -121,7 +123,10 @@ fn run_cmd(args: &[String]) {
         }
     }
 
-    let mut cfg = MachineConfig::scaled(phys_gib * GIB, true);
+    // A size whose byte count does not fit in a u64 is rejected, not
+    // wrapped into a different node size.
+    let phys_bytes = phys_gib.checked_mul(GIB).unwrap_or_else(|| usage());
+    let mut cfg = MachineConfig::scaled(phys_bytes, true);
     cfg.max_time = SimDuration::from_secs(60_000);
     if !show_profile {
         cfg.sample_period = None;

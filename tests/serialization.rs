@@ -62,13 +62,13 @@ fn monitor_config_is_a_stable_contract() {
         "top",
         "initial_low",
         "initial_high",
-        "window",
-        "ratio_target",
+        "step_fraction",
+        "adaptive",
         "sort_order",
     ] {
         assert!(json.contains(key), "config JSON must expose {key}");
     }
     let back: MonitorConfig = serde_json::from_str(&json).expect("deserialize config");
     assert_eq!(back.top, cfg.top);
-    assert_eq!(back.window, cfg.window);
+    assert_eq!(back.step_fraction, cfg.step_fraction);
 }
