@@ -16,7 +16,7 @@
 use m3_bench::{env, render_table, BenchTimer};
 use m3_cache::{TraceWorkload, TrafficPattern};
 use m3_sim::units::GIB;
-use m3_workloads::kvtrace::{run_cache_trace_cached, CachePolicy};
+use m3_workloads::kvtrace::{run_cache_trace, CachePolicy};
 use m3_workloads::worker_threads;
 use serde::Serialize;
 
@@ -88,7 +88,7 @@ fn main() {
         };
         for policy in CachePolicy::ALL {
             let started = std::time::Instant::now();
-            let out = run_cache_trace_cached(twl, policy);
+            let out = run_cache_trace(twl, policy);
             let wall_clock_s = started.elapsed().as_secs_f64();
             assert_eq!(
                 out.violations,

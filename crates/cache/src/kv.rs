@@ -992,15 +992,16 @@ mod tests {
 
     #[test]
     fn low_signal_evicts_one_percent() {
-        // Use a small commit chunk so the few evicted slabs exceed the
-        // runtime's retained slack and actually reach the OS.
+        // A key space large enough that 1 % of its slabs exceeds the Go
+        // runtime's retained commit-chunk slack, so the evicted slabs
+        // actually reach the OS.
         let mut os = Kernel::new(KernelConfig::with_total(64 * GIB));
         let pid = os.spawn("go-cache");
-        let cfg = GoConfig {
-            commit_chunk: m3_sim::units::MIB,
-            ..GoConfig::m3(100)
+        let wl = KvWorkload {
+            key_space: 4_000_000,
+            ..small_workload()
         };
-        let mut app = KvApp::go_cache(pid, cfg, small_workload(), 0, true);
+        let mut app = KvApp::go_cache(pid, GoConfig::m3(100), wl, 0, true);
         let mut now = SimTime::ZERO;
         while app.phase == Phase::Preload {
             app.tick(&mut os, now, SimDuration::from_millis(100));

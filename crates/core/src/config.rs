@@ -1,6 +1,5 @@
 //! Monitor configuration with the paper's §6 defaults.
 
-use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
 use serde::{Deserialize, Serialize};
 
@@ -10,10 +9,12 @@ use crate::selection::SortOrder;
 ///
 /// The defaults mirror the paper's evaluation machine (§6): top of memory at
 /// 62 GB of 64 GB, thresholds initialised to 50/55 GB and 2 % adjustment
-/// steps. The §6 parameters no evaluation varies are constants: one-second
+/// steps. The parameters no evaluation varies are constants: the §6 one-second
 /// polling ([`crate::monitor::POLL_PERIOD`]), both ratio targets 1:32 over a
-/// 32-poll sliding window (in [`crate::thresholds`]), and the degraded-mode
-/// margin ([`crate::monitor::DEGRADED_MARGIN_FRACTION`]).
+/// 32-poll sliding window (in [`crate::thresholds`]), the degraded-mode
+/// margin ([`crate::monitor::DEGRADED_MARGIN_FRACTION`]), the 30-s kill
+/// grace ([`crate::monitor::KILL_TIMEOUT`]) and the reclamation watchdog's
+/// strike count and backoff cap (in [`crate::monitor`]).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct MonitorConfig {
     /// Top of memory: the acceptable application memory ceiling, at or just
@@ -28,22 +29,12 @@ pub struct MonitorConfig {
     pub step_fraction: f64,
     /// Algorithm 1 sort order (the paper's evaluation uses newest-first).
     pub sort_order: SortOrder,
-    /// How long the system may stay above top (with everyone signalled)
-    /// before the monitor starts killing processes.
-    pub kill_timeout: SimDuration,
     /// If false, thresholds stay at their initial values (paper Fig. 10's
     /// "static thresholds" baseline).
     pub adaptive: bool,
     /// Ablation switch: if true, the red zone signals *every* registered
     /// process instead of running Algorithm 1's selective notification.
     pub signal_all: bool,
-    /// Reclamation watchdog: a participant high-signalled this many
-    /// consecutive polls with zero reclaimed bytes is escalated — re-signalled
-    /// with bounded backoff and deprioritized into the kill ordering.
-    pub watchdog_polls: u32,
-    /// Upper bound, in polls, of the watchdog's exponential re-signal
-    /// backoff for escalated participants.
-    pub watchdog_backoff_max: u32,
     /// Ablation switch: if true, Algorithm 1 ignores criticality classes
     /// and sorts by posture alone (the paper's original ordering). Under a
     /// mixed-criticality load this is exactly the broken policy the
@@ -71,11 +62,8 @@ impl MonitorConfig {
             initial_high: phys_total / 32 * 27,
             step_fraction: 0.02,
             sort_order: SortOrder::NewestFirst,
-            kill_timeout: SimDuration::from_secs(30),
             adaptive: true,
             signal_all: false,
-            watchdog_polls: 5,
-            watchdog_backoff_max: 8,
             crit_blind: false,
         }
     }
@@ -89,25 +77,21 @@ impl MonitorConfig {
     ///
     /// # Panics
     ///
-    /// Panics if thresholds are not ordered `low <= high <= top` or the
-    /// watchdog settings are degenerate. Call once at construction sites.
+    /// Panics if thresholds are not ordered `low <= high <= top`. Call once
+    /// at construction sites.
     pub fn validate(&self) {
         assert!(
             self.initial_low <= self.initial_high,
             "low must not exceed high"
         );
         assert!(self.initial_high <= self.top, "high must not exceed top");
-        assert!(self.watchdog_polls > 0, "watchdog needs at least one poll");
-        assert!(
-            self.watchdog_backoff_max >= 1,
-            "backoff cap must allow re-signalling"
-        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m3_sim::clock::SimDuration;
 
     #[test]
     fn paper_defaults_match_section_6() {
@@ -118,6 +102,7 @@ mod tests {
         assert_eq!(crate::thresholds::WINDOW, 32);
         assert!((crate::thresholds::RATIO_TARGET - 1.0 / 32.0).abs() < 1e-12);
         assert_eq!(crate::monitor::POLL_PERIOD, SimDuration::from_secs(1));
+        assert_eq!(crate::monitor::KILL_TIMEOUT, SimDuration::from_secs(30));
         assert!((c.step_fraction - 0.02).abs() < 1e-12);
         assert_eq!(c.sort_order, SortOrder::NewestFirst);
         assert!(c.adaptive);

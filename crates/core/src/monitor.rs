@@ -86,7 +86,7 @@ pub struct MonitorStats {
     /// Polls that observed usage above the top of memory.
     pub polls_above_top: u64,
     /// Participants escalated by the reclamation watchdog (high-signalled
-    /// `watchdog_polls` consecutive polls with zero reclaim).
+    /// `WATCHDOG_POLLS` consecutive polls with zero reclaim).
     pub watchdog_escalations: u64,
     /// Backed-off re-signals sent to already-escalated participants.
     pub watchdog_resignals: u64,
@@ -145,6 +145,20 @@ pub const DEGRADED_MARGIN_FRACTION: f64 = 0.02;
 /// Monitor polling period: `MemAvailable` is read once per period (§6: one
 /// second). Public because the machine's world loop schedules the polls.
 pub const POLL_PERIOD: SimDuration = SimDuration::from_secs(1);
+
+/// How long the system may stay above top (with everyone signalled)
+/// before the monitor starts killing processes. Public so the conformance
+/// oracle can check the kill grace.
+pub const KILL_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
+/// Reclamation watchdog: a participant high-signalled this many
+/// consecutive polls with zero reclaimed bytes is escalated — re-signalled
+/// with bounded backoff and deprioritized into the kill ordering.
+const WATCHDOG_POLLS: u32 = 5;
+
+/// Upper bound, in polls, of the watchdog's exponential re-signal
+/// backoff for escalated participants.
+const WATCHDOG_BACKOFF_MAX: u32 = 8;
 
 /// The M3 monitor.
 #[derive(Debug)]
@@ -445,7 +459,7 @@ impl Monitor {
                 });
                 report.high_signalled = self.send_high_watchdogged(os, all);
                 let since = *self.above_top_since.get_or_insert(now);
-                if now.saturating_since(since) >= self.cfg.kill_timeout {
+                if now.saturating_since(since) >= KILL_TIMEOUT {
                     report.killed = self.kill_down_to_top(os, used);
                     self.above_top_since = None;
                 }
@@ -471,13 +485,12 @@ impl Monitor {
     /// Sends the high signal through the reclamation watchdog.
     ///
     /// Every signalled participant earns a strike; `note_reclamation` with
-    /// positive bytes clears them. At `watchdog_polls` consecutive strikes
+    /// positive bytes clears them. At `WATCHDOG_POLLS` consecutive strikes
     /// the participant is escalated: further signals are spaced by an
-    /// exponential backoff capped at `watchdog_backoff_max` polls (there is
+    /// exponential backoff capped at `WATCHDOG_BACKOFF_MAX` polls (there is
     /// no point hammering a non-responder every second), and the kill
     /// ordering prefers it. Returns the pids actually signalled.
     fn send_high_watchdogged(&mut self, os: &mut Kernel, targets: Vec<Pid>) -> Vec<Pid> {
-        let (k, backoff_max) = (self.cfg.watchdog_polls, self.cfg.watchdog_backoff_max);
         let mut sent = Vec::new();
         for pid in targets {
             let e = self.watchdog.entry(pid).or_default();
@@ -487,7 +500,7 @@ impl Monitor {
                     os.record_trace(pid, TraceData::WatchdogSkip);
                     continue;
                 }
-                e.backoff = e.backoff.saturating_mul(2).clamp(1, backoff_max);
+                e.backoff = e.backoff.saturating_mul(2).clamp(1, WATCHDOG_BACKOFF_MAX);
                 e.cooldown = e.backoff;
                 self.stats.watchdog_resignals += 1;
                 os.record_trace(
@@ -498,7 +511,7 @@ impl Monitor {
                 );
             } else {
                 e.strikes += 1;
-                if e.strikes >= k {
+                if e.strikes >= WATCHDOG_POLLS {
                     e.escalated = true;
                     e.backoff = 1;
                     e.cooldown = 0;
@@ -574,7 +587,6 @@ impl Monitor {
 mod tests {
     use super::*;
     use m3_os::KernelConfig;
-    use m3_sim::clock::SimDuration;
     use m3_sim::units::GIB;
 
     fn setup() -> (Kernel, Monitor) {
@@ -639,7 +651,7 @@ mod tests {
         let p = os.spawn("hoarder");
         mon.register(p);
         os.grow(p, 58 * GIB).unwrap(); // red: high-signalled, never reclaims
-        let polls = mon.config().watchdog_polls + 1;
+        let polls = WATCHDOG_POLLS + 1;
         for i in 0..polls as u64 {
             mon.poll(&mut os, t(i));
         }
@@ -831,44 +843,46 @@ mod tests {
     #[test]
     fn watchdog_escalates_after_k_silent_polls_and_backs_off() {
         let (mut os, _) = setup();
-        let mut cfg = MonitorConfig::paper_64gb();
-        cfg.watchdog_polls = 3;
-        cfg.watchdog_backoff_max = 4;
-        let mut mon = Monitor::new(cfg);
+        // Static thresholds keep the node red for the whole backoff ladder.
+        let mut mon = Monitor::new(MonitorConfig {
+            adaptive: false,
+            ..MonitorConfig::paper_64gb()
+        });
         let a = os.spawn("a");
         mon.register(a);
         os.grow(a, 56 * GIB).unwrap(); // red zone, a is always selected
-        for i in 0..3 {
+        let k = u64::from(WATCHDOG_POLLS);
+        for i in 0..k {
+            assert!(!mon.is_deprioritized(a), "{i} strikes do not escalate");
             let r = mon.poll(&mut os, t(i));
             assert_eq!(r.high_signalled, vec![a], "strike {i} still signals");
             os.take_signals(a);
         }
-        assert!(mon.is_deprioritized(a), "3 silent polls escalate");
-        assert_eq!(mon.stats.watchdog_escalations, 1);
-        // Escalated: the next poll re-signals (backoff 1), then cooldowns
-        // space the re-signals out.
-        let signalled: Vec<bool> = (3..10)
-            .map(|i| !mon.poll(&mut os, t(i)).high_signalled.is_empty())
-            .collect();
-        assert!(signalled[0], "first backed-off re-signal");
         assert!(
-            signalled.iter().filter(|&&s| s).count() < signalled.len(),
-            "backoff must skip polls"
+            mon.is_deprioritized(a),
+            "WATCHDOG_POLLS silent polls escalate"
         );
-        assert!(mon.stats.watchdog_resignals >= 1);
+        assert_eq!(mon.stats.watchdog_escalations, 1);
+        // Escalated: the next poll re-signals, then cooldowns of 2, 4 and 8
+        // polls space the re-signals out, and the cap holds the gap at
+        // WATCHDOG_BACKOFF_MAX = 8.
+        let resignalled: Vec<u64> = (k..k + 40)
+            .filter(|&i| !mon.poll(&mut os, t(i)).high_signalled.is_empty())
+            .map(|i| i - k)
+            .collect();
+        assert_eq!(resignalled, vec![0, 3, 8, 17, 26, 35]);
+        assert_eq!(mon.stats.watchdog_resignals, 6);
     }
 
     #[test]
     fn reclamation_forgives_the_watchdog() {
-        let (mut os, _) = setup();
-        let mut cfg = MonitorConfig::paper_64gb();
-        cfg.watchdog_polls = 2;
-        let mut mon = Monitor::new(cfg);
+        let (mut os, mut mon) = setup();
         let a = os.spawn("a");
         mon.register(a);
         os.grow(a, 56 * GIB).unwrap();
-        mon.poll(&mut os, t(0));
-        mon.poll(&mut os, t(1));
+        for i in 0..u64::from(WATCHDOG_POLLS) {
+            mon.poll(&mut os, t(i));
+        }
         assert!(mon.is_deprioritized(a));
         mon.note_reclamation(a, GIB);
         assert!(!mon.is_deprioritized(a), "cooperation de-escalates");
@@ -876,10 +890,7 @@ mod tests {
 
     #[test]
     fn escalated_participant_dies_first_despite_sort_order() {
-        let (mut os, _) = setup();
-        let mut cfg = MonitorConfig::paper_64gb();
-        cfg.watchdog_polls = 2;
-        let mut mon = Monitor::new(cfg);
+        let (mut os, mut mon) = setup();
         os.set_time(t(0));
         let uncoop = os.spawn("uncooperative");
         os.set_time(t(100));
@@ -889,15 +900,21 @@ mod tests {
         os.grow(uncoop, 33 * GIB).unwrap();
         os.grow(coop, 30 * GIB).unwrap(); // 63 GiB > top (62)
 
-        // Above top: both signalled; only `coop` ever reclaims.
-        mon.poll(&mut os, t(101));
-        mon.note_reclamation(coop, GIB / 2);
-        assert!(!mon.is_deprioritized(uncoop), "one strike is not enough");
-        // Second silent poll escalates `uncoop` (coop's record was cleared
-        // by its reclamation) and the kill timeout fires in the same poll.
-        // NewestFirst alone would kill `coop` (newest); the watchdog must
-        // redirect the escalation to the non-cooperator.
-        let r = mon.poll(&mut os, t(101 + 30));
+        // Above top: both signalled every poll; only `coop` ever reclaims.
+        // All but the last strike land inside the kill timeout.
+        for i in 0..u64::from(WATCHDOG_POLLS) - 1 {
+            assert!(mon.poll(&mut os, t(101 + i)).killed.is_empty());
+            mon.note_reclamation(coop, GIB / 2);
+        }
+        assert!(
+            !mon.is_deprioritized(uncoop),
+            "WATCHDOG_POLLS - 1 strikes are not enough"
+        );
+        // The last silent poll escalates `uncoop` (coop's record was
+        // cleared by its reclamation) and the kill timeout fires in the
+        // same poll. NewestFirst alone would kill `coop` (newest); the
+        // watchdog must redirect the escalation to the non-cooperator.
+        let r = mon.poll(&mut os, t(101) + KILL_TIMEOUT);
         assert!(mon.stats.watchdog_escalations >= 1);
         assert_eq!(r.killed, vec![uncoop]);
         assert!(os.is_alive(coop));
@@ -944,10 +961,7 @@ mod tests {
 
     #[test]
     fn escalation_never_jumps_a_class_boundary() {
-        let (mut os, _) = setup();
-        let mut cfg = MonitorConfig::paper_64gb();
-        cfg.watchdog_polls = 2;
-        let mut mon = Monitor::new(cfg);
+        let (mut os, mut mon) = setup();
         os.set_time(t(0));
         let uncoop = os.spawn("uncooperative-critical");
         os.set_time(t(100));
@@ -956,9 +970,11 @@ mod tests {
         mon.register_with_class(batch, Criticality::Batch);
         os.grow(uncoop, 33 * GIB).unwrap();
         os.grow(batch, 30 * GIB).unwrap(); // 63 GiB > top (62)
-        mon.poll(&mut os, t(101));
-        mon.note_reclamation(batch, GIB / 2);
-        let r = mon.poll(&mut os, t(101 + 30));
+        for i in 0..u64::from(WATCHDOG_POLLS) - 1 {
+            assert!(mon.poll(&mut os, t(101 + i)).killed.is_empty());
+            mon.note_reclamation(batch, GIB / 2);
+        }
+        let r = mon.poll(&mut os, t(101) + KILL_TIMEOUT);
         assert!(mon.is_deprioritized(uncoop));
         // Even escalated, a latency-critical job outlives batch residents.
         assert_eq!(r.killed, vec![batch]);
@@ -979,16 +995,14 @@ mod tests {
     }
 
     #[test]
-    fn kill_timeout_honours_config() {
-        let (mut os, _) = setup();
-        let mut cfg = MonitorConfig::paper_64gb();
-        cfg.kill_timeout = SimDuration::from_secs(5);
-        let mut mon = Monitor::new(cfg);
+    fn kill_fires_at_kill_timeout() {
+        let (mut os, mut mon) = setup();
         let a = os.spawn("a");
         mon.register(a);
         os.grow(a, 63 * GIB).unwrap();
         mon.poll(&mut os, t(0));
-        assert!(mon.poll(&mut os, t(4)).killed.is_empty());
-        assert_eq!(mon.poll(&mut os, t(5)).killed, vec![a]);
+        let grace = KILL_TIMEOUT.as_secs();
+        assert!(mon.poll(&mut os, t(grace - 1)).killed.is_empty());
+        assert_eq!(mon.poll(&mut os, t(grace)).killed, vec![a]);
     }
 }

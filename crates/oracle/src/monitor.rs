@@ -7,7 +7,7 @@
 
 use crate::{Invariant, Violation};
 use m3_core::config::MonitorConfig;
-use m3_core::monitor::{DEGRADED_MARGIN_FRACTION, MAX_DEGRADED_WIDENING};
+use m3_core::monitor::{DEGRADED_MARGIN_FRACTION, KILL_TIMEOUT, MAX_DEGRADED_WIDENING};
 use m3_core::selection::{select_processes, Candidate, SortOrder};
 use m3_core::thresholds::AdaptiveThresholds;
 use m3_sim::trace::{SigKind, ThresholdSide, TraceData, TraceEvent, TraceZone};
@@ -403,8 +403,8 @@ impl MonitorReplay {
         if zone == TraceZone::AboveTop {
             let since = *self.above_top_since.get_or_insert(ms);
             if !killed.is_empty() {
-                if let Some(cfg) = &self.monitor {
-                    let grace = cfg.kill_timeout.as_millis();
+                if self.monitor.is_some() {
+                    let grace = KILL_TIMEOUT.as_millis();
                     if ms.saturating_sub(since) < grace {
                         flag!(
                             out,

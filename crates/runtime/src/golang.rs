@@ -23,6 +23,9 @@ const SCAVENGE_DELAY: SimDuration = SimDuration::from_mins(5);
 /// minimum heap, scaled up for server workloads).
 const MIN_TRIGGER: u64 = 16 * MIB;
 
+/// Commit granularity for OS interactions.
+const COMMIT_CHUNK: u64 = 64 * MIB;
+
 /// GC cost model. Go's collector is concurrent: the mutator pays short
 /// stop-the-world phases plus assist work, a small fraction of the full
 /// scan cost a stop-the-world collector would charge.
@@ -39,8 +42,6 @@ pub struct GoConfig {
     /// `GOGC`: percentage growth over the last cycle's live set that
     /// triggers the next collection (default 100).
     pub gogc: u64,
-    /// Commit granularity for OS interactions.
-    pub commit_chunk: u64,
     /// If true (the paper's modification), freed spans are returned to the
     /// OS immediately after collection instead of waiting for the scavenger.
     pub return_immediately: bool,
@@ -51,7 +52,6 @@ impl GoConfig {
     pub fn stock(gogc: u64) -> Self {
         GoConfig {
             gogc,
-            commit_chunk: 64 * MIB,
             return_immediately: false,
         }
     }
@@ -155,7 +155,7 @@ impl GoRuntime {
         };
         if self.free() < bytes {
             let need = bytes - self.free();
-            let grow = need.div_ceil(self.cfg.commit_chunk) * self.cfg.commit_chunk;
+            let grow = need.div_ceil(COMMIT_CHUNK) * COMMIT_CHUNK;
             os.grow(self.pid, grow).expect("go process must be alive");
             self.committed += grow;
         }
@@ -207,7 +207,7 @@ impl GoRuntime {
     /// commit chunk of slack, page-aligned. Pure — the release packet's
     /// cost estimator reads it.
     pub fn releasable(&self) -> u64 {
-        self.free().saturating_sub(self.cfg.commit_chunk) / PAGE_SIZE * PAGE_SIZE
+        self.free().saturating_sub(COMMIT_CHUNK) / PAGE_SIZE * PAGE_SIZE
     }
 
     /// Releases all free spans to the OS now (the `madvise` work packet of
@@ -258,7 +258,7 @@ impl GoRuntime {
     /// Releases all free spans to the OS, keeping one commit chunk of slack.
     /// Rounded down to page granularity (`madvise` operates on whole pages).
     fn release_free(&mut self, os: &mut Kernel) -> u64 {
-        let releasable = self.free().saturating_sub(self.cfg.commit_chunk) / PAGE_SIZE * PAGE_SIZE;
+        let releasable = self.free().saturating_sub(COMMIT_CHUNK) / PAGE_SIZE * PAGE_SIZE;
         if releasable == 0 {
             return 0;
         }
@@ -348,7 +348,7 @@ mod tests {
         go.free_bytes(GIB);
         let out = go.gc(&mut os, t(0));
         assert!(out.returned_to_os > GIB / 2);
-        assert!(go.committed() <= go.config().commit_chunk + go.live() + go.garbage());
+        assert!(go.committed() <= COMMIT_CHUNK + go.live() + go.garbage());
     }
 
     #[test]

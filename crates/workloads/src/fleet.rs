@@ -113,6 +113,28 @@ const REFRESH_SHARDS: usize = 1;
 /// Seed of the deterministic node-loss backoff jitter.
 const BACKOFF_SEED: u64 = 0xF1EE7;
 
+/// Cadence of the red-zone rebalance checks.
+const REBALANCE_PERIOD: SimDuration = SimDuration::from_secs(60);
+
+/// Times a job lost to node death may re-enter the arrival queue before
+/// the scheduler abandons it as orphaned.
+const RETRY_BUDGET: u32 = 3;
+
+/// Base delay of the node-loss retry backoff; retry `k` waits
+/// `base * 2^(k-1)` plus deterministic jitter in `[0, base)`.
+const BACKOFF_BASE: SimDuration = SimDuration::from_secs(30);
+
+/// How old a flapping endpoint's stale summary may be before the scheduler
+/// refuses it and forces an authoritative re-read.
+const STALE_WINDOW: SimDuration = SimDuration::from_secs(120);
+
+/// Consecutive forced re-reads before a flapping node is quarantined.
+const QUARANTINE_AFTER: u32 = 2;
+
+/// Consecutive healthy probes a quarantined node must answer before it is
+/// re-admitted as a placement target.
+const QUARANTINE_HEALTHY: u32 = 3;
+
 /// One worker node of the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeSpec {
@@ -159,26 +181,10 @@ pub struct FleetConfig {
     pub defer_interval: SimDuration,
     /// Admission retries before the scheduler gives up on a job.
     pub max_defers: u32,
-    /// Cadence of the red-zone rebalance checks.
-    pub rebalance_period: SimDuration,
     /// Number of rebalance checks scheduled (bounds the event horizon).
     pub rebalance_checks: u32,
     /// Placement preference among feasible nodes.
     pub policy: PlacementPolicy,
-    /// Times a job lost to node death may re-enter the arrival queue
-    /// before the scheduler abandons it as orphaned.
-    pub retry_budget: u32,
-    /// Base delay of the node-loss retry backoff; retry `k` waits
-    /// `base * 2^(k-1)` plus deterministic jitter in `[0, base)`.
-    pub backoff_base: SimDuration,
-    /// How old a flapping endpoint's stale summary may be before the
-    /// scheduler refuses it and forces an authoritative re-read.
-    pub stale_window: SimDuration,
-    /// Consecutive forced re-reads before a flapping node is quarantined.
-    pub quarantine_after: u32,
-    /// Consecutive healthy probes a quarantined node must answer before
-    /// it is re-admitted as a placement target.
-    pub quarantine_healthy: u32,
     /// Criticality-blindness ablation (the conformance suite's failing
     /// policy). A blind scheduler keeps the preemption and migration
     /// machinery but strips every class check from victim selection: any
@@ -197,14 +203,8 @@ impl FleetConfig {
             grace: SimDuration::from_secs(60),
             defer_interval: SimDuration::from_secs(120),
             max_defers: 30,
-            rebalance_period: SimDuration::from_secs(60),
             rebalance_checks: 40,
             policy: PlacementPolicy::LeastPressured,
-            retry_budget: 3,
-            backoff_base: SimDuration::from_secs(30),
-            stale_window: SimDuration::from_secs(120),
-            quarantine_after: 2,
-            quarantine_healthy: 3,
             crit_blind: false,
         }
     }
@@ -390,13 +390,13 @@ impl NodeView {
 /// What a node's probe endpoint answered. The *endpoint* is the fiction
 /// the fault plan degrades: authoritative node state (the simulation) is
 /// always intact underneath, but a flapping endpoint serves the summary it
-/// captured when the flap started — and past the configured stale window
-/// the scheduler refuses that and pays for an authoritative re-read.
+/// captured when the flap started — and past [`STALE_WINDOW`] the
+/// scheduler refuses that and pays for an authoritative re-read.
 enum ProbeRead {
     /// The endpoint is healthy: the view is authoritative at `t`.
     Fresh(NodeView),
     /// The endpoint is flapping but its stale summary (captured at flap
-    /// start) is inside [`FleetConfig::stale_window`] — tolerated.
+    /// start) is inside [`STALE_WINDOW`] — tolerated.
     Stale(NodeView),
     /// The endpoint is flapping and its summary is too old to act on.
     Unreachable,
@@ -626,7 +626,7 @@ impl<'a> Fleet<'a> {
     /// Reads node `node`'s probe endpoint at time `t`. Outside a flap
     /// window this is the authoritative view; inside one, the endpoint
     /// serves the summary it captured when the flap started — accepted
-    /// while younger than [`FleetConfig::stale_window`], refused after.
+    /// while younger than [`STALE_WINDOW`], refused after.
     /// Every stale acceptance and every refusal is counted in the
     /// degradation report.
     fn endpoint(&mut self, node: usize, t: SimTime) -> ProbeRead {
@@ -634,7 +634,7 @@ impl<'a> Fleet<'a> {
             None => ProbeRead::Fresh(self.view(node, t)),
             Some(f) => {
                 let age = t.as_millis().saturating_sub(f.start.as_millis());
-                if age <= self.fleet.stale_window.as_millis() {
+                if age <= STALE_WINDOW.as_millis() {
                     self.degradation.stale_probe_decisions += 1;
                     let frozen = SimTime::from_millis(f.start.as_millis());
                     ProbeRead::Stale(self.view(node, frozen))
@@ -658,7 +658,7 @@ impl<'a> Fleet<'a> {
             }
             self.nodes[node].healthy_streak += 1;
             let streak = self.nodes[node].healthy_streak;
-            if streak < self.fleet.quarantine_healthy.max(1) {
+            if streak < QUARANTINE_HEALTHY {
                 return;
             }
             self.nodes[node].quarantined = false;
@@ -679,7 +679,7 @@ impl<'a> Fleet<'a> {
             self.nodes[node].healthy_streak = 0;
             self.nodes[node].fail_streak += 1;
             let streak = self.nodes[node].fail_streak;
-            if self.nodes[node].quarantined || streak < self.fleet.quarantine_after.max(1) {
+            if self.nodes[node].quarantined || streak < QUARANTINE_AFTER {
                 return;
             }
             self.nodes[node].quarantined = true;
@@ -1303,7 +1303,7 @@ impl<'a> Fleet<'a> {
     /// `(BACKOFF_SEED, job, retries)`, so replays are byte-identical and
     /// co-lost jobs do not thunder back in lockstep.
     fn backoff_ms(&self, job: usize, retries: u32) -> u64 {
-        let base = self.fleet.backoff_base.as_millis().max(1);
+        let base = BACKOFF_BASE.as_millis();
         let exp = base.saturating_mul(1 << (retries.saturating_sub(1)).min(5));
         let seed = BACKOFF_SEED
             ^ (job as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -1360,7 +1360,7 @@ impl<'a> Fleet<'a> {
             self.degradation.jobs_lost += 1;
             self.reschedules[job] += 1;
             let retries = self.reschedules[job];
-            if retries > self.fleet.retry_budget {
+            if retries > RETRY_BUDGET {
                 self.orphaned[job] = true;
                 self.degradation.jobs_orphaned += 1;
                 self.trace.record(
@@ -1495,7 +1495,7 @@ impl<'a> Fleet<'a> {
         for k in 1..=self.fleet.rebalance_checks {
             queue.insert(
                 (
-                    self.fleet.rebalance_period.as_millis() * k as u64,
+                    REBALANCE_PERIOD.as_millis() * k as u64,
                     CLASS_REBALANCE,
                     k as u64,
                 ),
@@ -1917,19 +1917,17 @@ mod tests {
 
     #[test]
     fn red_node_triggers_migration_onto_the_idle_one() {
-        // MostPressured co-locates both n-weight jobs on node 0, which
-        // pushes it into the red zone; with an eager grace window the
-        // rebalancer must migrate the newest job to the idle node. (The
-        // adaptive thresholds chase usage within seconds, so red streaks
-        // are transient — a zero grace window is what makes the check
-        // deterministic; grace *enforcement* is covered by the oracle's
-        // unit tests.)
-        let scenario = Scenario::uniform("WW", 60);
+        // MostPressured co-locates the n-weight and the connected-components
+        // job on node 0, which keeps it red past the second rebalance check
+        // (t = 120 s); with an eager grace window the rebalancer must
+        // migrate the newest job to the idle node. (The adaptive thresholds
+        // chase usage within seconds, so red streaks are transient — a zero
+        // grace window is what makes the check deterministic; grace
+        // *enforcement* is covered by the oracle's unit tests.)
+        let scenario = Scenario::uniform("WC", 30);
         let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
         fleet.policy = PlacementPolicy::MostPressured;
         fleet.grace = SimDuration::ZERO;
-        fleet.rebalance_period = SimDuration::from_secs(1);
-        fleet.rebalance_checks = 150;
         let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fleet);
         assert_eq!(res.jobs[1].migrations, 1, "newest job is the victim");
         assert_eq!(res.jobs[1].node, Some(1), "it restarts on the idle node");
@@ -1972,8 +1970,7 @@ mod tests {
         // latency-critical k-means arrives a minute later. Without
         // preemption the k-means would defer until the n-weight finishes;
         // with it, the batch job is evicted, re-queued, and the critical
-        // job takes the node. Long victim backoff keeps the evicted batch
-        // job from racing back onto the node before the critical one.
+        // job takes the node.
         let scenario = Scenario::uniform("WM", 60).with_classes(vec![
             JobClass::new(Criticality::Batch, 0),
             JobClass::new(Criticality::LatencyCritical, 0),
@@ -1981,7 +1978,6 @@ mod tests {
         let mut fleet = FleetConfig::homogeneous(1, 64 * GIB);
         fleet.rebalance_checks = 0;
         fleet.max_defers = 200;
-        fleet.backoff_base = SimDuration::from_secs(600);
         let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fleet);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         let preempts = res
@@ -2057,15 +2053,13 @@ mod tests {
         // classes: the *older* job is Standard, the newer one critical.
         // The class-aware rebalancer must invert the legacy
         // latest-arriving choice and move the more-expendable older job.
-        let scenario = Scenario::uniform("WW", 60).with_classes(vec![
+        let scenario = Scenario::uniform("WC", 30).with_classes(vec![
             JobClass::new(Criticality::Standard, 0),
             JobClass::new(Criticality::LatencyCritical, 0),
         ]);
         let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
         fleet.policy = PlacementPolicy::MostPressured;
         fleet.grace = SimDuration::ZERO;
-        fleet.rebalance_period = SimDuration::from_secs(1);
-        fleet.rebalance_checks = 150;
         let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fleet);
         assert_eq!(res.jobs[0].migrations, 1, "the standard job is the victim");
         assert_eq!(res.jobs[1].migrations, 0, "the critical job stays put");
@@ -2142,15 +2136,25 @@ mod tests {
     }
 
     #[test]
-    fn zero_retry_budget_orphans_lost_jobs() {
+    fn exhausted_retry_budget_orphans_lost_jobs() {
+        // The job follows the lowest live node index, so each crash below
+        // takes it down once more: three losses are re-queued, the fourth
+        // exhausts RETRY_BUDGET and orphans it.
         let scenario = Scenario::uniform("M", 0);
-        let mut fleet = small_fleet();
-        fleet.retry_budget = 0;
-        let plan = FleetFaultPlan::none().with_node_crash(SimDuration::from_secs(60), 0);
+        let mut fleet = FleetConfig::homogeneous(5, 64 * GIB);
+        fleet.rebalance_checks = 10;
+        let plan = FleetFaultPlan::none()
+            .with_node_crash(SimDuration::from_secs(60), 0)
+            .with_node_crash(SimDuration::from_secs(300), 1)
+            .with_node_crash(SimDuration::from_secs(600), 2)
+            .with_node_crash(SimDuration::from_secs(1_000), 3);
         let res = run_faulted(&scenario, &Setting::m3(1), &fleet, &plan);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
+        assert_eq!(res.degradation.nodes_lost, 4);
+        assert_eq!(res.degradation.jobs_lost, u64::from(RETRY_BUDGET) + 1);
         assert_eq!(res.degradation.jobs_orphaned, 1);
-        assert_eq!(res.degradation.jobs_rescheduled, 0);
+        assert_eq!(res.degradation.jobs_rescheduled, u64::from(RETRY_BUDGET));
+        assert_eq!(res.jobs[0].reschedules, RETRY_BUDGET + 1);
         assert_eq!(res.jobs[0].node, None);
         assert_eq!(res.jobs[0].failure, Some(JobFailure::NodeLost));
         let mean = res.cluster.mean_runtime_secs();
@@ -2172,17 +2176,13 @@ mod tests {
 
     #[test]
     fn flapping_node_is_quarantined_and_readmitted() {
-        // Node 1's endpoint flaps for 1000 s with a 10 s stale window: the
-        // rebalance sweep's forced re-reads quarantine it, and after the
-        // flap ends its healthy probes re-admit it. The single job placed
-        // at t=0 is unaffected.
+        // Node 1's endpoint flaps for 1000 s, far past the stale window:
+        // the rebalance sweep's forced re-reads quarantine it, and after
+        // the flap ends its healthy probes re-admit it. The single job
+        // placed at t=0 is unaffected.
         let scenario = Scenario::uniform("M", 0);
         let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
-        fleet.stale_window = SimDuration::from_secs(10);
-        fleet.quarantine_after = 1;
-        fleet.quarantine_healthy = 3;
-        fleet.rebalance_period = SimDuration::from_secs(60);
-        fleet.rebalance_checks = 30;
+        fleet.rebalance_checks = 60;
         let plan = FleetFaultPlan::none().with_flap(
             1,
             SimDuration::from_secs(30),
@@ -2219,16 +2219,17 @@ mod tests {
 
     #[test]
     fn stale_probes_are_tolerated_inside_the_window() {
-        // Both nodes flap from t=0, but the stale window is generous: every
+        // Both nodes flap from t=0 for less than the stale window: every
         // read is served from the flap-start summary, nothing fails, and
         // nothing is quarantined.
         let scenario = Scenario::uniform("M", 0);
         let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
-        fleet.stale_window = SimDuration::from_secs(10_000);
-        fleet.rebalance_checks = 5;
+        fleet.rebalance_checks = 1;
+        let flap = SimDuration::from_secs(100);
+        assert!(flap < STALE_WINDOW);
         let plan = FleetFaultPlan::none()
-            .with_flap(0, SimDuration::ZERO, SimDuration::from_secs(1_000))
-            .with_flap(1, SimDuration::ZERO, SimDuration::from_secs(1_000));
+            .with_flap(0, SimDuration::ZERO, flap)
+            .with_flap(1, SimDuration::ZERO, flap);
         let res = run_faulted(&scenario, &Setting::m3(1), &fleet, &plan);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert!(res.degradation.stale_probe_decisions > 0);
@@ -2309,12 +2310,10 @@ mod tests {
         // on the source node; the accumulated per-node `FaultPlan`s must
         // survive serde round trips (they feed the content-addressed node
         // cache key).
-        let scenario = Scenario::uniform("WW", 60);
+        let scenario = Scenario::uniform("WC", 30);
         let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
         fleet.policy = PlacementPolicy::MostPressured;
         fleet.grace = SimDuration::ZERO;
-        fleet.rebalance_period = SimDuration::from_secs(1);
-        fleet.rebalance_checks = 150;
         let clean = FleetFaultPlan::none();
         let mut state = Fleet::new(&scenario, quick_cfg(), &fleet, &clean, 1);
         state.run_events();

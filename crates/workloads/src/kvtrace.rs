@@ -14,13 +14,9 @@
 //! - **StaticLimit** — a best-effort static cache cap well under physical
 //!   memory: safe, but the capacity it surrenders shows up as misses.
 //!
-//! Runs are memoized content-addressed on `(workload, policy)` exactly like
-//! the scenario harness ([`crate::parallel`]), so sweeps and repeated bench
-//! invocations replay for free, and the outcome is a pure serializable
-//! function of its inputs (the determinism test compares worker counts by
-//! serialized bytes).
-
-use std::sync::Arc;
+//! The outcome is a pure serializable function of `(workload, policy)`
+//! (the determinism test compares worker counts by serialized bytes). A
+//! sweep visits each point once, so runs are not memoized.
 
 use m3_cache::{KeyedSlabCache, TraceWorkload};
 use m3_sim::clock::SimDuration;
@@ -29,7 +25,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::apps::AppBlueprint;
 use crate::machine::{JobFailure, Machine, MachineConfig};
-use crate::parallel::{CacheStats, MemoCache};
 
 /// Fraction of the chunked working set the node's physical memory covers:
 /// small enough that every policy is under real pressure — the footprint a
@@ -191,7 +186,7 @@ fn blueprint(twl: TraceWorkload, policy: CachePolicy, phys: u64) -> (AppBlueprin
     }
 }
 
-/// Runs one `(workload, policy)` point uncached.
+/// Runs one `(workload, policy)` point.
 pub fn run_cache_trace(twl: TraceWorkload, policy: CachePolicy) -> CacheTraceOutcome {
     twl.validate();
     let phys = node_phys_bytes(&twl);
@@ -277,20 +272,6 @@ pub fn run_cache_trace(twl: TraceWorkload, policy: CachePolicy) -> CacheTraceOut
     out
 }
 
-static CACHE: MemoCache<CacheTraceOutcome> = MemoCache::new();
-
-/// Current totals of the trace-run memoization cache.
-pub fn kvtrace_cache_stats() -> CacheStats {
-    CACHE.stats()
-}
-
-/// [`run_cache_trace`], content-addressed on `(workload, policy)`: an
-/// identical earlier run is returned as a shared [`Arc`] without
-/// re-simulating.
-pub fn run_cache_trace_cached(twl: TraceWorkload, policy: CachePolicy) -> Arc<CacheTraceOutcome> {
-    CACHE.get_or_compute(&(&twl, policy), || run_cache_trace(twl, policy))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,19 +343,5 @@ mod tests {
         );
         // Either way some progress was recorded via periodic snapshots.
         assert!(out.requests > 0, "{out:?}");
-    }
-
-    #[test]
-    fn memoized_run_is_shared_and_identical() {
-        let twl = tiny(TrafficPattern::Burst);
-        let a = run_cache_trace_cached(twl, CachePolicy::StaticLimit);
-        let b = run_cache_trace_cached(twl, CachePolicy::StaticLimit);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
-        let fresh = run_cache_trace(twl, CachePolicy::StaticLimit);
-        assert_eq!(
-            serde_json::to_string(&*a).unwrap(),
-            serde_json::to_string(&fresh).unwrap(),
-            "cached and fresh runs are byte-identical"
-        );
     }
 }

@@ -56,8 +56,7 @@ pub use fleet::{
     JobOutcome, NodeSpec, PlacementPolicy,
 };
 pub use kvtrace::{
-    kvtrace_cache_stats, node_phys_bytes, run_cache_trace, run_cache_trace_cached,
-    working_set_bytes, CachePolicy, CacheTraceOutcome,
+    node_phys_bytes, run_cache_trace, working_set_bytes, CachePolicy, CacheTraceOutcome,
 };
 pub use machine::{
     AppResult, JobFailure, Machine, MachineConfig, RunResult, RunSpec, ScheduleEntry,

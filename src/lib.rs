@@ -63,9 +63,7 @@ pub mod prelude {
         run_fleet, run_fleet_cached, run_fleet_faulted_with_workers, FleetConfig, FleetResult,
         JobOutcome, NodeSpec, PlacementPolicy,
     };
-    pub use m3_workloads::kvtrace::{
-        run_cache_trace, run_cache_trace_cached, CachePolicy, CacheTraceOutcome,
-    };
+    pub use m3_workloads::kvtrace::{run_cache_trace, CachePolicy, CacheTraceOutcome};
     pub use m3_workloads::machine::{Machine, MachineConfig, RunResult, RunSpec};
     pub use m3_workloads::parallel::run_scenario_cached;
     pub use m3_workloads::runner::{compare_m3_vs, run_scenario, speedup_report};

@@ -72,3 +72,49 @@ fn monitor_config_is_a_stable_contract() {
     assert_eq!(back.top, cfg.top);
     assert_eq!(back.step_fraction, cfg.step_fraction);
 }
+
+/// The options census (DESIGN.md §18): a config field exists only when some
+/// caller needs a second value. Each struct's serialized default has one map
+/// entry per settable field, so adding a knob fails here until the §18
+/// table is updated with the caller that sets it.
+#[test]
+fn settable_config_fields_match_the_census() {
+    use m3::cache::KvWorkload;
+    use m3::framework::SparkConfig;
+    use m3::runtime::{GoConfig, JvmConfig};
+    use serde::{Content, Serialize};
+
+    fn fields(value: &impl Serialize) -> usize {
+        match value.serialize() {
+            Content::Map(entries) => entries.len(),
+            other => panic!("a config struct serializes to a map, got {other:?}"),
+        }
+    }
+    let census = [
+        ("FleetConfig", fields(&FleetConfig::paper()), 7),
+        ("MonitorConfig", fields(&MonitorConfig::paper_64gb()), 8),
+        ("MachineConfig", fields(&MachineConfig::m3_64gb()), 9),
+        (
+            "KernelConfig",
+            fields(&KernelConfig::with_total(64 * GIB)),
+            1,
+        ),
+        ("JvmConfig", fields(&JvmConfig::stock(8 * GIB)), 4),
+        ("GoConfig", fields(&GoConfig::stock(100)), 2),
+        ("SparkConfig", fields(&SparkConfig::default()), 5),
+        ("KvWorkload", fields(&KvWorkload::paper_gocache()), 3),
+        (
+            "TraceWorkload",
+            fields(&TraceWorkload::production(TrafficPattern::Burst)),
+            5,
+        ),
+    ];
+    for (name, got, want) in census {
+        assert_eq!(
+            got, want,
+            "{name} has {got} settable fields, DESIGN §18 says {want}"
+        );
+    }
+    let total: usize = census.iter().map(|&(_, got, _)| got).sum();
+    assert_eq!(total, 44, "DESIGN §18 counts 44 settable fields");
+}
