@@ -768,18 +768,9 @@ impl M3Participant for KvApp {
                 let plan = e.store.class_quotas(n);
                 let mut class_ids = Vec::with_capacity(plan.len());
                 for (class, quota) in plan {
-                    class_ids.push(sched.add_costed(
+                    class_ids.push(sched.add(
                         PacketKind::EvictClass,
                         &[],
-                        move |app: &KvApp| {
-                            quota
-                                * app
-                                    .engine
-                                    .as_ref()
-                                    .expect("trace engine")
-                                    .store
-                                    .slab_bytes()
-                        },
                         move |app: &mut KvApp, os: &mut Kernel| {
                             let e = app.engine.as_mut().expect("trace engine");
                             let d = e.store.evict_class(class, quota);
@@ -798,10 +789,9 @@ impl M3Participant for KvApp {
                         },
                     ));
                 }
-                sched.add_costed(
+                sched.add(
                     PacketKind::EvictSlabs,
                     &class_ids,
-                    |_: &KvApp| 0, // the class packets carry the planned bytes
                     move |app: &mut KvApp, os: &mut Kernel| {
                         let acc = std::mem::take(&mut app.evict_acc);
                         os.record_trace_with(pid, || TraceData::EvictSlabs {
@@ -820,10 +810,9 @@ impl M3Participant for KvApp {
                     },
                 )
             }
-            None => sched.add_costed(
+            None => sched.add(
                 PacketKind::EvictSlabs,
                 &[],
-                move |app: &KvApp| (app.slabs.resident_bytes() as f64 * fraction) as u64,
                 move |app: &mut KvApp, os: &mut Kernel| {
                     let before = app.slabs.slab_count();
                     let (slabs, items) = app.slabs.evict_fraction(fraction);
@@ -849,13 +838,9 @@ impl M3Participant for KvApp {
         // (Table 1: "call Go"). Memcached's jemalloc already returned the
         // freed slabs inside the eviction packet's `free`.
         if matches!(self.backend, KvBackend::Go(_)) {
-            let gc = sched.add_costed(
+            let gc = sched.add(
                 PacketKind::GcGo,
                 &[evict],
-                |app: &KvApp| match &app.backend {
-                    KvBackend::Go(g) => g.collect_estimate(),
-                    KvBackend::Native(_) => 0,
-                },
                 move |app: &mut KvApp, os: &mut Kernel| match &mut app.backend {
                     KvBackend::Go(g) => {
                         let out = g.collect(os);
@@ -874,13 +859,9 @@ impl M3Participant for KvApp {
                 KvBackend::Native(_) => false,
             };
             if immediate {
-                sched.add_costed(
+                sched.add(
                     PacketKind::Madvise,
                     &[gc],
-                    |app: &KvApp| match &app.backend {
-                        KvBackend::Go(g) => g.releasable(),
-                        KvBackend::Native(_) => 0,
-                    },
                     |app: &mut KvApp, os: &mut Kernel| match &mut app.backend {
                         KvBackend::Go(g) => PacketOutcome::released(g.release_to_os(os)),
                         KvBackend::Native(_) => PacketOutcome::default(),
@@ -889,13 +870,13 @@ impl M3Participant for KvApp {
             }
         }
 
-        let res = sched.drain(self, os);
+        let out = sched.drain(self, os);
         if sig == ThresholdSignal::High {
             if let Some(a) = self.allocator.as_mut() {
-                a.on_reclaim_done(now + res.outcome.duration);
+                a.on_reclaim_done(now + out.duration);
             }
         }
-        res.outcome
+        out
     }
 }
 

@@ -50,8 +50,7 @@ pub use layer::{M3Participant, SignalOutcome, ThresholdSignal};
 pub use monitor::{Monitor, PollReport, PressureSummary, Zone, MONITOR_PID};
 pub use registry::{PidFile, Registry};
 pub use scheduler::{
-    DrainResult, PacketBucket, PacketId, PacketKind, PacketOutcome, PacketRecord, PacketStats,
-    ReclaimScheduler, SchedulerConfig,
+    PacketBucket, PacketId, PacketKind, PacketOutcome, ReclaimScheduler, SchedulerConfig,
 };
 pub use selection::SortOrder;
 pub use thresholds::{AdaptiveThresholds, ThresholdUpdate};

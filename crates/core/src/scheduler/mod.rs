@@ -15,63 +15,40 @@
 //!
 //! A bucket only *opens* once every packet in all earlier buckets has
 //! finished, and a packet only *executes* once its explicit dependencies
-//! have finished. The drain proceeds in waves: each wave, the ready set of
-//! the open bucket is costed in parallel through
-//! [`m3_sim::parallel::parallel_map`] (a pure pass, merged in submission
-//! order), then the mutations commit serially in packet-id order. Because
-//! the only parallel phase is pure and its merge is deterministic, a drain
-//! is **byte-identical for any worker count** — `M3_JOBS=8` changes
-//! wall-clock time, never results. The conformance suite pins this down,
-//! and the `reclaim.packet.*` trace events emitted here let the oracle
-//! verify bucket order, dependency edges and byte conservation after every
-//! traced run.
+//! have finished. The drain is one sequential loop that proceeds in waves:
+//! each wave runs, in packet-id order, the open bucket's packets whose
+//! dependencies had all finished before the wave began. The
+//! `reclaim.packet.*` trace events emitted here are the drain's only
+//! per-packet record (wave, bytes, returned bytes, duration, stalls); they
+//! let the oracle verify bucket order, dependency edges and byte
+//! conservation after every traced run.
 
 mod packet;
-mod stats;
 
 pub use packet::{PacketId, PacketKind, PacketOutcome, WorkPacket};
-pub use stats::{PacketRecord, PacketStats};
 
 pub use m3_sim::trace::PacketBucket;
 
 use m3_os::{Kernel, Pid};
-use m3_sim::parallel::{parallel_map, worker_threads};
 use m3_sim::trace::TraceData;
 
 use crate::layer::SignalOutcome;
 
-/// Ready waves at least this large are costed through the thread pool;
-/// smaller waves are costed serially (spawning threads for two or three
-/// pure estimator calls costs more than it saves).
-pub const PARALLEL_COST_MIN: usize = 4;
-
 /// Scheduler tunables.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedulerConfig {
-    /// Worker threads for the parallel costing pass; `None` uses
-    /// [`worker_threads`] (the `M3_JOBS` environment variable).
-    pub workers: Option<usize>,
     /// Ablation: drain the buckets in *reverse* order, ignoring dependency
     /// edges. Exists to prove the conformance oracle catches ordering
     /// violations; never enabled in a correct configuration.
     pub ablate_bucket_order: bool,
 }
 
-impl SchedulerConfig {
-    /// The effective worker count.
-    pub fn worker_count(&self) -> usize {
-        self.workers.unwrap_or_else(worker_threads)
-    }
-}
-
-/// What one full drain accomplished.
-#[derive(Debug)]
-pub struct DrainResult {
-    /// Summed handler outcome (durations add, returned bytes add) — what
-    /// `handle_signal` reports to the monitor.
-    pub outcome: SignalOutcome,
-    /// Per-packet statistics.
-    pub stats: PacketStats,
+/// One drain wave: the packets held back at its start, each with the first
+/// unfinished dependency it waits on, and the packets it runs (id order).
+#[derive(Default)]
+struct Wave {
+    stalled: Vec<(PacketId, PacketId)>,
+    ready: Vec<usize>,
 }
 
 /// A single-drain packet scheduler over a participant context `C`.
@@ -86,7 +63,7 @@ pub struct ReclaimScheduler<C> {
     packets: Vec<WorkPacket<C>>,
 }
 
-impl<C: Sync> ReclaimScheduler<C> {
+impl<C> ReclaimScheduler<C> {
     /// An empty scheduler draining on behalf of `pid`.
     pub fn new(pid: Pid, cfg: SchedulerConfig) -> Self {
         ReclaimScheduler {
@@ -96,41 +73,19 @@ impl<C: Sync> ReclaimScheduler<C> {
         }
     }
 
-    /// Number of packets enqueued so far.
-    pub fn len(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// True when nothing has been enqueued.
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-
-    /// Enqueues a packet in its kind's default bucket with a zero cost
-    /// estimate. Returns its id for use in later packets' `deps`.
+    /// Enqueues a packet in its kind's default bucket. Returns its id for
+    /// use in later packets' `deps`.
     pub fn add(
         &mut self,
         kind: PacketKind,
         deps: &[PacketId],
         run: impl FnOnce(&mut C, &mut Kernel) -> PacketOutcome + 'static,
     ) -> PacketId {
-        self.add_in(kind, kind.default_bucket(), deps, |_| 0, run)
+        self.add_in(kind, kind.default_bucket(), deps, run)
     }
 
-    /// Enqueues a packet in its kind's default bucket with a pure byte-cost
-    /// estimator (evaluated during the wave's parallel costing pass).
-    pub fn add_costed(
-        &mut self,
-        kind: PacketKind,
-        deps: &[PacketId],
-        cost: impl Fn(&C) -> u64 + Send + Sync + 'static,
-        run: impl FnOnce(&mut C, &mut Kernel) -> PacketOutcome + 'static,
-    ) -> PacketId {
-        self.add_in(kind, kind.default_bucket(), deps, cost, run)
-    }
-
-    /// Fully explicit enqueue: kind, bucket, dependencies, cost estimator
-    /// and the mutation itself.
+    /// Fully explicit enqueue: kind, bucket, dependencies and the mutation
+    /// itself.
     ///
     /// Panics if a dependency names a not-yet-enqueued packet or one in a
     /// *later* bucket — either would deadlock the drain, so both are
@@ -140,7 +95,6 @@ impl<C: Sync> ReclaimScheduler<C> {
         kind: PacketKind,
         bucket: PacketBucket,
         deps: &[PacketId],
-        cost: impl Fn(&C) -> u64 + Send + Sync + 'static,
         run: impl FnOnce(&mut C, &mut Kernel) -> PacketOutcome + 'static,
     ) -> PacketId {
         let id = self.packets.len() as PacketId;
@@ -160,17 +114,17 @@ impl<C: Sync> ReclaimScheduler<C> {
             kind,
             bucket,
             deps: deps.to_vec(),
-            cost: Box::new(cost),
             run: Some(Box::new(run)),
         });
         id
     }
 
-    /// Executes every packet and returns the summed outcome plus
-    /// per-packet statistics. Emits `reclaim.packet.enqueue` for every
-    /// packet up front (id order), then `stall`/`start`/`finish` events as
-    /// the waves progress.
-    pub fn drain(mut self, ctx: &mut C, os: &mut Kernel) -> DrainResult {
+    /// Executes every packet and returns the summed outcome (durations
+    /// add, returned bytes add) — what `handle_signal` reports to the
+    /// monitor. Emits `reclaim.packet.enqueue` for every packet up front
+    /// (id order), then each wave's `stall` events followed by a
+    /// `start`/`finish` pair around every packet it runs.
+    pub fn drain(mut self, ctx: &mut C, os: &mut Kernel) -> SignalOutcome {
         let pid = self.pid;
         for p in &self.packets {
             os.record_trace_with(pid, || TraceData::PacketEnqueue {
@@ -180,92 +134,41 @@ impl<C: Sync> ReclaimScheduler<C> {
                 deps: p.deps.clone(),
             });
         }
-        if self.cfg.ablate_bucket_order {
-            return self.drain_ablated(ctx, os);
-        }
-
-        let n = self.packets.len();
-        let workers = self.cfg.worker_count();
-        let mut finished = vec![false; n];
-        let mut stats = PacketStats::default();
+        let waves = if self.cfg.ablate_bucket_order {
+            self.ablated_waves()
+        } else {
+            self.waves()
+        };
         let mut outcome = SignalOutcome::default();
-        let mut wave: u64 = 0;
-        let mut done = 0usize;
-        while done < n {
-            // The open bucket is the earliest one still holding unfinished
-            // packets: by definition every packet in a strictly earlier
-            // bucket has finished.
-            let open = self
-                .packets
-                .iter()
-                .filter(|p| !finished[p.id as usize])
-                .map(|p| p.bucket)
-                .min()
-                .expect("unfinished packets remain");
-            let mut ready: Vec<usize> = Vec::new();
-            for p in self.packets.iter().filter(|p| p.bucket == open) {
-                let i = p.id as usize;
-                if finished[i] {
-                    continue;
-                }
-                match p.deps.iter().find(|&&d| !finished[d as usize]) {
-                    None => ready.push(i),
-                    Some(&blocker) => {
-                        os.record_trace(
-                            pid,
-                            TraceData::PacketStall {
-                                packet: p.id,
-                                waiting_on: blocker,
-                                wave,
-                            },
-                        );
-                        stats.stalls += 1;
-                    }
-                }
+        for (wave, w) in waves.into_iter().enumerate() {
+            let wave = wave as u64;
+            for (packet, waiting_on) in w.stalled {
+                os.record_trace(
+                    pid,
+                    TraceData::PacketStall {
+                        packet,
+                        waiting_on,
+                        wave,
+                    },
+                );
             }
-            // Always true: the smallest unfinished id in the open bucket
-            // has only finished dependencies (deps are earlier ids in the
-            // same or an earlier bucket), so every wave makes progress.
-            assert!(!ready.is_empty(), "packet dependency cycle");
-
-            // Pure costing pass, fanned out when the wave is large enough.
-            // `parallel_map` merges in submission order, so the planned
-            // bytes land in the same slots for any worker count.
-            let cost_workers = if ready.len() >= PARALLEL_COST_MIN {
-                workers
-            } else {
-                1
-            };
-            let estimators: Vec<&(dyn Fn(&C) -> u64 + Send + Sync)> = ready
-                .iter()
-                .map(|&i| self.packets[i].cost.as_ref())
-                .collect();
-            let shared: &C = ctx;
-            let planned = parallel_map(estimators, cost_workers, |est| est(shared));
-
-            // Commit serially in packet-id order (`ready` is id-sorted).
-            for (&i, &planned_bytes) in ready.iter().zip(planned.iter()) {
-                let (id, kind, bucket) = {
-                    let p = &self.packets[i];
-                    (p.id, p.kind, p.bucket)
-                };
+            for i in w.ready {
+                let p = &mut self.packets[i];
+                let (packet, bucket) = (p.id, p.bucket);
+                let run = p.run.take().expect("packet executes exactly once");
                 os.record_trace(
                     pid,
                     TraceData::PacketStart {
-                        packet: id,
+                        packet,
                         bucket,
                         wave,
                     },
                 );
-                let run = self.packets[i]
-                    .run
-                    .take()
-                    .expect("packet executes exactly once");
                 let out = run(ctx, os);
                 os.record_trace(
                     pid,
                     TraceData::PacketFinish {
-                        packet: id,
+                        packet,
                         bucket,
                         bytes: out.bytes,
                         returned: out.returned,
@@ -276,85 +179,67 @@ impl<C: Sync> ReclaimScheduler<C> {
                     duration: out.duration,
                     returned_to_os: out.returned,
                 });
-                stats.records.push(PacketRecord {
-                    id,
-                    kind: kind.name(),
-                    bucket,
-                    wave,
-                    queued_waves: wave,
-                    planned_bytes,
-                    bytes: out.bytes,
-                    returned: out.returned,
-                    duration: out.duration,
-                });
-                finished[i] = true;
-                done += 1;
             }
-            wave += 1;
         }
-        stats.waves = wave;
-        DrainResult { outcome, stats }
+        outcome
     }
 
-    /// The broken drain used by the bucket-order ablation: buckets execute
-    /// in reverse order and dependency edges are ignored entirely (honoring
-    /// them while reversing buckets would deadlock). Emits the same event
-    /// kinds as the correct drain, so the resulting trace carries provable
-    /// `reclaim.packet.bucket` / `reclaim.packet.deps` violations.
-    fn drain_ablated(mut self, ctx: &mut C, os: &mut Kernel) -> DrainResult {
-        let pid = self.pid;
+    /// The correct drain order. Each wave's open bucket is the earliest one
+    /// still holding unfinished packets (so every packet in a strictly
+    /// earlier bucket has finished); the wave runs that bucket's packets
+    /// whose dependencies all finished in earlier waves, and stalls the
+    /// rest.
+    fn waves(&self) -> Vec<Wave> {
+        let mut finished = vec![false; self.packets.len()];
+        let mut left = self.packets.len();
+        let mut waves = Vec::new();
+        while left > 0 {
+            let open = self
+                .packets
+                .iter()
+                .filter(|p| !finished[p.id as usize])
+                .map(|p| p.bucket)
+                .min()
+                .expect("unfinished packets remain");
+            let mut wave = Wave::default();
+            for p in &self.packets {
+                if p.bucket != open || finished[p.id as usize] {
+                    continue;
+                }
+                match p.deps.iter().find(|&&d| !finished[d as usize]) {
+                    None => wave.ready.push(p.id as usize),
+                    Some(&blocker) => wave.stalled.push((p.id, blocker)),
+                }
+            }
+            // Always true: the smallest unfinished id in the open bucket
+            // has only finished dependencies (deps are earlier ids in the
+            // same or an earlier bucket), so every wave makes progress.
+            assert!(!wave.ready.is_empty(), "packet dependency cycle");
+            for &i in &wave.ready {
+                finished[i] = true;
+            }
+            left -= wave.ready.len();
+            waves.push(wave);
+        }
+        waves
+    }
+
+    /// The broken order used by the bucket-order ablation: one packet per
+    /// wave, buckets in reverse order, dependency edges ignored entirely
+    /// (honoring them while reversing buckets would deadlock). The drain
+    /// emits the same event kinds as the correct one, so the resulting
+    /// trace carries provable `reclaim.packet.bucket` /
+    /// `reclaim.packet.deps` violations.
+    fn ablated_waves(&self) -> Vec<Wave> {
         let mut order: Vec<usize> = (0..self.packets.len()).collect();
         order.sort_by_key(|&i| (std::cmp::Reverse(self.packets[i].bucket), i));
-        let mut stats = PacketStats::default();
-        let mut outcome = SignalOutcome::default();
-        for (wave, &i) in order.iter().enumerate() {
-            let wave = wave as u64;
-            let (id, kind, bucket) = {
-                let p = &self.packets[i];
-                (p.id, p.kind, p.bucket)
-            };
-            let planned_bytes = (self.packets[i].cost)(ctx);
-            os.record_trace(
-                pid,
-                TraceData::PacketStart {
-                    packet: id,
-                    bucket,
-                    wave,
-                },
-            );
-            let run = self.packets[i]
-                .run
-                .take()
-                .expect("packet executes exactly once");
-            let out = run(ctx, os);
-            os.record_trace(
-                pid,
-                TraceData::PacketFinish {
-                    packet: id,
-                    bucket,
-                    bytes: out.bytes,
-                    returned: out.returned,
-                    duration_ms: out.duration.as_millis(),
-                },
-            );
-            outcome.merge(SignalOutcome {
-                duration: out.duration,
-                returned_to_os: out.returned,
-            });
-            stats.records.push(PacketRecord {
-                id,
-                kind: kind.name(),
-                bucket,
-                wave,
-                queued_waves: 0,
-                planned_bytes,
-                bytes: out.bytes,
-                returned: out.returned,
-                duration: out.duration,
-            });
-        }
-        stats.waves = order.len() as u64;
-        DrainResult { outcome, stats }
+        order
+            .into_iter()
+            .map(|i| Wave {
+                stalled: Vec::new(),
+                ready: vec![i],
+            })
+            .collect()
     }
 }
 
@@ -365,13 +250,10 @@ mod tests {
     use m3_sim::clock::SimDuration;
     use m3_sim::units::GIB;
 
-    /// Synthetic participant: a log of executed packet labels plus a pool
-    /// of "dead" bytes that Collect packets free and Release returns.
+    /// Synthetic participant: a log of executed packet labels.
     #[derive(Default)]
     struct Ctx {
         ran: Vec<&'static str>,
-        dead: u64,
-        free: u64,
     }
 
     fn kernel() -> Kernel {
@@ -384,6 +266,33 @@ mod tests {
             returned: 0,
             duration: SimDuration::from_millis(5),
         }
+    }
+
+    /// `(packet, wave)` of every `reclaim.packet.start`, in trace order.
+    fn starts(os: &Kernel) -> Vec<(PacketId, u64)> {
+        os.trace
+            .of_kind("reclaim.packet.start")
+            .map(|e| match e.data {
+                TraceData::PacketStart { packet, wave, .. } => (packet, wave),
+                ref other => panic!("unexpected start payload {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Number of waves the drain took, read off the start events.
+    fn wave_count(os: &Kernel) -> u64 {
+        starts(os).iter().map(|&(_, w)| w + 1).max().unwrap_or(0)
+    }
+
+    /// Bytes summed over the `reclaim.packet.finish` events.
+    fn finished_bytes(os: &Kernel) -> u64 {
+        os.trace
+            .of_kind("reclaim.packet.finish")
+            .map(|e| match e.data {
+                TraceData::PacketFinish { bytes, .. } => bytes,
+                ref other => panic!("unexpected finish payload {other:?}"),
+            })
+            .sum()
     }
 
     #[test]
@@ -405,8 +314,9 @@ mod tests {
         });
         let res = sched.drain(&mut ctx, &mut os);
         assert_eq!(ctx.ran, vec!["evict", "gc", "madvise"]);
-        assert_eq!(res.stats.waves, 3, "one wave per non-empty bucket");
-        assert_eq!(res.stats.bytes(), 300);
+        assert_eq!(wave_count(&os), 3, "one wave per non-empty bucket");
+        assert_eq!(finished_bytes(&os), 300);
+        assert_eq!(res.duration, SimDuration::from_millis(15));
         assert_eq!(os.trace.count("reclaim.packet.start"), 3);
     }
 
@@ -419,7 +329,7 @@ mod tests {
             c.ran.push("young");
             outcome(10)
         });
-        sched.add(PacketKind::GcOld, &[young], |c: &mut Ctx, _| {
+        let old = sched.add(PacketKind::GcOld, &[young], |c: &mut Ctx, _| {
             c.ran.push("old");
             outcome(20)
         });
@@ -429,60 +339,28 @@ mod tests {
             c.ran.push("young2");
             outcome(30)
         });
-        let res = sched.drain(&mut ctx, &mut os);
+        sched.drain(&mut ctx, &mut os);
         assert_eq!(ctx.ran, vec!["young", "young2", "old"]);
-        assert_eq!(res.stats.waves, 2);
-        assert_eq!(res.stats.stalls, 1, "old stalled one wave behind young");
+        assert_eq!(wave_count(&os), 2);
+        assert_eq!(
+            os.trace.count("reclaim.packet.stall"),
+            1,
+            "old stalled one wave behind young"
+        );
         let stall = os.trace.first("reclaim.packet.stall").expect("stall event");
         match &stall.data {
             TraceData::PacketStall {
-                packet, waiting_on, ..
+                packet,
+                waiting_on,
+                wave,
             } => {
-                assert_eq!(*packet, 1);
+                assert_eq!(*packet, old);
                 assert_eq!(*waiting_on, young);
+                assert_eq!(*wave, 0);
             }
             other => panic!("unexpected stall payload {other:?}"),
         }
-        let old = res.stats.of_kind("gc_old")[0];
-        assert_eq!(old.queued_waves, 1);
-    }
-
-    #[test]
-    fn drain_is_identical_for_any_worker_count() {
-        let run = |workers: usize| {
-            let mut os = kernel();
-            let mut ctx = Ctx {
-                dead: 600,
-                ..Ctx::default()
-            };
-            let mut sched = ReclaimScheduler::new(
-                7,
-                SchedulerConfig {
-                    workers: Some(workers),
-                    ablate_bucket_order: false,
-                },
-            );
-            // A wave wide enough to trip the parallel costing path.
-            for i in 0..6u64 {
-                sched.add_costed(
-                    PacketKind::EvictClass,
-                    &[],
-                    move |c: &Ctx| c.dead / 6 + i,
-                    move |c: &mut Ctx, _| {
-                        let freed = c.dead / 6;
-                        c.dead -= freed;
-                        c.free += freed;
-                        outcome(freed)
-                    },
-                );
-            }
-            let res = sched.drain(&mut ctx, &mut os);
-            let planned: Vec<u64> = res.stats.records.iter().map(|r| r.planned_bytes).collect();
-            (planned, res.stats.bytes(), ctx.free, os.trace.len())
-        };
-        let baseline = run(1);
-        assert_eq!(run(4), baseline);
-        assert_eq!(run(8), baseline);
+        assert_eq!(starts(&os), vec![(0, 0), (2, 0), (old, 1)]);
     }
 
     #[test]
@@ -492,7 +370,6 @@ mod tests {
         let mut sched = ReclaimScheduler::new(
             7,
             SchedulerConfig {
-                workers: Some(1),
                 ablate_bucket_order: true,
             },
         );
@@ -514,6 +391,8 @@ mod tests {
             vec!["madvise", "gc", "evict"],
             "ablation must reverse the bucket order"
         );
+        assert_eq!(starts(&os), vec![(2, 0), (1, 1), (0, 2)]);
+        assert_eq!(os.trace.count("reclaim.packet.stall"), 0);
     }
 
     #[test]
@@ -532,8 +411,7 @@ mod tests {
         let mut ctx = Ctx::default();
         let sched: ReclaimScheduler<Ctx> = ReclaimScheduler::new(7, SchedulerConfig::default());
         let res = sched.drain(&mut ctx, &mut os);
-        assert_eq!(res.outcome, SignalOutcome::default());
-        assert!(res.stats.records.is_empty());
+        assert_eq!(res, SignalOutcome::default());
         assert!(os.trace.is_empty());
     }
 }

@@ -107,16 +107,12 @@ impl PacketOutcome {
 pub(super) type PacketRun<C> = Box<dyn FnOnce(&mut C, &mut Kernel) -> PacketOutcome>;
 
 /// One unit of reclamation work over a participant context `C` (the app
-/// that owns the layers being reclaimed). `run` commits the mutation;
-/// `cost` is a pure estimator of the bytes the packet will move, evaluated
-/// for a whole ready wave at once (through `parallel_map`) before any
-/// packet in the wave executes.
+/// that owns the layers being reclaimed). `run` commits the mutation.
 pub struct WorkPacket<C> {
     pub(super) id: PacketId,
     pub(super) kind: PacketKind,
     pub(super) bucket: PacketBucket,
     pub(super) deps: Vec<PacketId>,
-    pub(super) cost: Box<dyn Fn(&C) -> u64 + Send + Sync>,
     pub(super) run: Option<PacketRun<C>>,
 }
 

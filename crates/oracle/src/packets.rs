@@ -685,7 +685,6 @@ mod tests {
         let mut sched = ReclaimScheduler::new(
             pid,
             SchedulerConfig {
-                workers: Some(1),
                 ablate_bucket_order: true,
             },
         );

@@ -198,18 +198,6 @@ impl GoRuntime {
         }
     }
 
-    /// Pure estimate of the bytes [`GoRuntime::collect`] would reclaim.
-    pub fn collect_estimate(&self) -> u64 {
-        self.garbage
-    }
-
-    /// Bytes a release would give back right now: free spans beyond one
-    /// commit chunk of slack, page-aligned. Pure — the release packet's
-    /// cost estimator reads it.
-    pub fn releasable(&self) -> u64 {
-        self.free().saturating_sub(COMMIT_CHUNK) / PAGE_SIZE * PAGE_SIZE
-    }
-
     /// Releases all free spans to the OS now (the `madvise` work packet of
     /// the Release bucket). Returns the bytes given back.
     pub fn release_to_os(&mut self, os: &mut Kernel) -> u64 {

@@ -262,7 +262,10 @@ impl Jvm {
     /// one commit chunk of slack for allocation velocity. Only whole pages
     /// can be `madvise`d, so the amount is rounded down to page granularity.
     fn maybe_return_free(&mut self, os: &mut Kernel) -> u64 {
-        let releasable = self.releasable();
+        if !self.cfg.return_to_os {
+            return 0;
+        }
+        let releasable = self.free().saturating_sub(COMMIT_CHUNK) / PAGE_SIZE * PAGE_SIZE;
         if releasable == 0 {
             return 0;
         }
@@ -271,16 +274,6 @@ impl Jvm {
         self.committed -= releasable;
         self.stats.returned_to_os += releasable;
         releasable
-    }
-
-    /// Bytes `Jvm::maybe_return_free` would give back right now: free heap
-    /// beyond one commit chunk of slack, page-aligned, zero when returning
-    /// is disabled. Pure — the release packet's cost estimator reads it.
-    pub fn releasable(&self) -> u64 {
-        if !self.cfg.return_to_os {
-            return 0;
-        }
-        self.free().saturating_sub(COMMIT_CHUNK) / PAGE_SIZE * PAGE_SIZE
     }
 
     /// The young collection *phase*: evacuates survivors to the old
@@ -309,12 +302,6 @@ impl Jvm {
         }
     }
 
-    /// Pure estimate of the bytes [`Jvm::young_collect`] would reclaim.
-    pub fn young_collect_estimate(&self) -> u64 {
-        let survivors = (self.young_used as f64 * self.cfg.survival_rate) as u64;
-        self.young_used - survivors
-    }
-
     /// The old-generation trace/evacuate *phase* of a mixed collection
     /// (the `gc_old` work packet): reclaims `MIXED_YIELD` of the
     /// accumulated old garbage, without touching the OS.
@@ -339,11 +326,6 @@ impl Jvm {
             reclaimed: old_reclaimed,
             returned_to_os: 0,
         }
-    }
-
-    /// Pure estimate of the bytes [`Jvm::old_collect`] would reclaim.
-    pub fn old_collect_estimate(&self) -> u64 {
-        (self.old_garbage as f64 * MIXED_YIELD) as u64
     }
 
     /// The full-heap compact *phase* (the `gc_full` work packet): every
@@ -859,18 +841,6 @@ mod tests {
         assert_eq!(jvm.free(), packetized.free());
         assert_eq!(jvm.garbage(), packetized.garbage());
         assert_eq!(os.rss(jvm.pid()), os2.rss(packetized.pid()));
-    }
-
-    #[test]
-    fn collect_estimates_match_actual_phase_yield() {
-        let (mut os, mut jvm) = setup_m3(62 * GIB);
-        jvm.alloc_pinned(&mut os, GIB).unwrap();
-        jvm.alloc_transient(&mut os, 300 * MIB).unwrap();
-        jvm.free_pinned(512 * MIB);
-        let young_est = jvm.young_collect_estimate();
-        assert_eq!(jvm.young_collect(&mut os).reclaimed, young_est);
-        let old_est = jvm.old_collect_estimate();
-        assert_eq!(jvm.old_collect(&mut os).reclaimed, old_est);
     }
 
     #[test]

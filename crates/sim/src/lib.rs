@@ -25,7 +25,6 @@
 pub mod clock;
 pub mod histogram;
 pub mod metrics;
-pub mod parallel;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -35,7 +34,6 @@ pub mod units;
 pub use clock::{SimDuration, SimTime};
 pub use histogram::DurationHistogram;
 pub use metrics::{Counter, Gauge, TimeSeries};
-pub use parallel::{parallel_map, worker_threads};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use trace::{

@@ -156,10 +156,9 @@ impl M3Participant for AlternatingApp {
             return SignalOutcome::default();
         }
         let mut sched = ReclaimScheduler::new(self.jvm.pid(), self.sched);
-        let young = sched.add_costed(
+        let young = sched.add(
             PacketKind::GcYoung,
             &[],
-            |app: &AlternatingApp| app.jvm.young_collect_estimate(),
             |app: &mut AlternatingApp, os: &mut Kernel| {
                 let gc = app.jvm.young_collect(os);
                 PacketOutcome::freed(gc.reclaimed, gc.pause)
@@ -167,25 +166,23 @@ impl M3Participant for AlternatingApp {
         );
         let mut last = young;
         if sig == ThresholdSignal::High {
-            last = sched.add_costed(
+            last = sched.add(
                 PacketKind::GcOld,
                 &[young],
-                |app: &AlternatingApp| app.jvm.old_collect_estimate(),
                 |app: &mut AlternatingApp, os: &mut Kernel| {
                     let gc = app.jvm.old_collect(os);
                     PacketOutcome::freed(gc.reclaimed, gc.pause)
                 },
             );
         }
-        sched.add_costed(
+        sched.add(
             PacketKind::Madvise,
             &[last],
-            |app: &AlternatingApp| app.jvm.releasable(),
             |app: &mut AlternatingApp, os: &mut Kernel| {
                 PacketOutcome::released(app.jvm.release_to_os(os))
             },
         );
-        sched.drain(self, os).outcome
+        sched.drain(self, os)
     }
 }
 

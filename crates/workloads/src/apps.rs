@@ -71,20 +71,11 @@ pub enum AppBlueprint {
 }
 
 impl AppBlueprint {
-    /// Constructs the application in process `pid`.
-    pub fn build(&self, pid: Pid) -> AnyApp {
-        self.build_salted(pid, 0)
-    }
-
-    /// Constructs the application with a node-specific salt, so different
-    /// cluster nodes see different task-scheduling orders.
-    pub fn build_salted(&self, pid: Pid, salt: u64) -> AnyApp {
-        self.build_configured(pid, salt, SchedulerConfig::default())
-    }
-
-    /// Constructs the application with a salt and an explicit work-packet
-    /// scheduler configuration (worker count, bucket-order ablation).
-    pub fn build_configured(&self, pid: Pid, salt: u64, sched: SchedulerConfig) -> AnyApp {
+    /// Constructs the application in process `pid`. The node-specific
+    /// `salt` gives different cluster nodes different task-scheduling
+    /// orders; `sched` configures the work-packet scheduler its signal
+    /// handlers drain through (the bucket-order ablation).
+    pub fn build(&self, pid: Pid, salt: u64, sched: SchedulerConfig) -> AnyApp {
         match self.clone() {
             AppBlueprint::Spark { jvm, spark, job } => AnyApp::Spark(
                 SparkApp::new(pid, jvm, spark, job)
@@ -290,7 +281,7 @@ mod tests {
         ];
         for bp in blueprints {
             let pid = os.spawn("app");
-            let mut app = bp.build(pid);
+            let mut app = bp.build(pid, 0, SchedulerConfig::default());
             assert_eq!(app.pid(), pid);
             assert!(!app.failed());
             let mut now = SimTime::ZERO;
@@ -333,7 +324,7 @@ mod tests {
             spark: SparkConfig::default(),
             job: job(),
         }
-        .build(pid);
+        .build(pid, 0, SchedulerConfig::default());
         assert!(app.uses_disk());
     }
 }

@@ -163,10 +163,9 @@ impl MachineConfig {
     }
 
     /// The work-packet scheduler configuration every app on this node is
-    /// built with (worker count comes from `M3_JOBS` at drain time).
+    /// built with.
     pub fn scheduler_config(&self) -> m3_core::SchedulerConfig {
         m3_core::SchedulerConfig {
-            workers: None,
             ablate_bucket_order: self.packet_ablation,
         }
     }
@@ -428,7 +427,7 @@ impl Machine {
             for idx in queue.pop_due(now) {
                 let (name, _, bp) = &schedule[idx];
                 let pid = kernel.spawn(name.as_ref());
-                let app = bp.build_configured(pid, self.cfg.node_salt, self.cfg.scheduler_config());
+                let app = bp.build(pid, self.cfg.node_salt, self.cfg.scheduler_config());
                 results[idx].started = now;
                 if app.failed() {
                     results[idx].failure = Some(JobFailure::Crashed);

@@ -18,6 +18,10 @@
 //! bit-identical no matter which thread computes it, or whether it is
 //! replayed from the cache (the determinism regression test in
 //! `tests/determinism.rs` pins this down).
+//!
+//! These are the workspace's only threads: every crate below
+//! `m3-workloads`, the simulation itself included, runs on the caller's
+//! thread.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,10 +32,72 @@ use crate::runner::{run_scenario, ScenarioOutcome};
 use crate::scenario::Scenario;
 use crate::settings::Setting;
 
-// The pool primitives moved down into `m3-sim` so the reclamation packet
-// scheduler in `m3-core` can share them; re-exported here so harness users
-// keep their import paths.
-pub use m3_sim::parallel::{parallel_map, worker_threads};
+/// Number of worker threads the harness fans out to: the `M3_JOBS`
+/// environment variable when set, otherwise the host's available
+/// parallelism (1 if that cannot be determined).
+///
+/// # Panics
+///
+/// When `M3_JOBS` is set but is not a positive integer: a mistyped value
+/// must not silently run on a worker count nobody asked for.
+pub fn worker_threads() -> usize {
+    let raw = std::env::var_os("M3_JOBS").map(|v| v.to_string_lossy().into_owned());
+    parse_jobs(raw.as_deref()).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// Parses a raw `M3_JOBS` value: `None` when unset, the worker count when
+/// it is a positive integer, and a panic naming the variable otherwise.
+fn parse_jobs(raw: Option<&str>) -> Option<usize> {
+    let raw = raw?;
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => panic!("M3_JOBS={raw:?} is not a positive integer"),
+    }
+}
+
+/// Applies `f` to every item on a pool of `workers` threads and returns the
+/// results **in submission order**. Workers pull jobs from a shared queue
+/// (so long and short runs balance), and a `workers <= 1` or single-item
+/// call degrades to a plain serial map with no threads spawned.
+pub fn parallel_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let n = items.len();
+    if workers <= 1 || n <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
+    let (queue, f) = (&queue, &f);
+    std::thread::scope(|s| {
+        for _ in 0..workers.min(n) {
+            let tx = tx.clone();
+            s.spawn(move || loop {
+                // Take the lock only long enough to pull the next job.
+                let job = queue.lock().expect("job queue poisoned").next();
+                let Some((idx, item)) = job else { break };
+                if tx.send((idx, f(item))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        for (idx, r) in rx {
+            out[idx] = Some(r);
+        }
+        out.into_iter()
+            .map(|r| r.expect("every submitted job produces a result"))
+            .collect()
+    })
+}
 
 /// Hit/miss counters of the run memoization cache (process-wide totals).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -162,6 +228,40 @@ pub fn run_scenario_cached(
 mod tests {
     use super::*;
     use crate::settings::{AppConfig, SettingKind};
+
+    #[test]
+    fn parallel_map_preserves_submission_order() {
+        let items: Vec<u64> = (0..100).collect();
+        let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+        for workers in [1, 2, 8] {
+            assert_eq!(parallel_map(items.clone(), workers, |x| x * 3 + 1), expect);
+        }
+    }
+
+    #[test]
+    fn parallel_map_handles_empty_input() {
+        let out: Vec<u64> = parallel_map(Vec::<u64>::new(), 4, |x| x);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn jobs_parse_unset_and_positive_values() {
+        assert_eq!(parse_jobs(None), None);
+        assert_eq!(parse_jobs(Some("1")), Some(1));
+        assert_eq!(parse_jobs(Some(" 8 ")), Some(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "M3_JOBS=\"0\" is not a positive integer")]
+    fn jobs_zero_is_rejected() {
+        parse_jobs(Some("0"));
+    }
+
+    #[test]
+    #[should_panic(expected = "M3_JOBS=\"four\" is not a positive integer")]
+    fn jobs_non_number_is_rejected() {
+        parse_jobs(Some("four"));
+    }
 
     #[test]
     fn cache_returns_shared_result_on_identical_inputs() {

@@ -57,7 +57,8 @@ M3_MIXED_CRIT_MAX_BATCH=4 M3_MIXED_CRIT_BUDGET_S=60 \
     cargo bench -p m3-bench --bench mixed_criticality
 # Work-packet reclamation smoke: the fig6/fig7 packetized sweep at a
 # reduced salt spread. The bench is the conformance step — it asserts
-# byte-identical results at 1 vs 8 workers, zero oracle violations
+# byte-identical results at 1 vs 8 harness workers (each drain itself is
+# sequential; threads exist only in the harness), zero oracle violations
 # (including the reclaim.packet.* ordering and byte-conservation
 # invariants) at every point, and every enqueued packet finished.
 M3_RECLAIM_PACKETS_SALTS=4 M3_RECLAIM_PACKETS_BUDGET_S=60 \

@@ -170,11 +170,11 @@ fn mixed_criticality_colocation_is_deterministic_across_workers() {
 
 #[test]
 fn packetized_reclamation_is_identical_for_any_m3_jobs() {
-    // The packet scheduler's parallel costing pass is the only `M3_JOBS`
-    // consumer inside a single simulation; packet mutations commit serially
-    // in id order, so the fig6 (MMW 180) and fig7 (CMW 180) profile
-    // scenarios — plus a chaos run over the full fault-injection surface —
-    // must serialize byte-identically at 1 and at 8 workers.
+    // Nothing inside a single simulation reads `M3_JOBS`: threads exist
+    // only in the harness, and the packet drain is one sequential loop. So
+    // the fig6 (MMW 180) and fig7 (CMW 180) profile scenarios — plus a
+    // chaos run over the full fault-injection surface — must serialize
+    // byte-identically at 1 and at 8 workers.
     let mut cfg = MachineConfig::m3_64gb();
     cfg.max_time = SimDuration::from_secs(40_000);
     let scenarios = [Scenario::uniform("MMW", 180), Scenario::uniform("CMW", 180)];
